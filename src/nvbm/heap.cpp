@@ -1,5 +1,7 @@
 #include "nvbm/heap.hpp"
 
+#include <algorithm>
+
 namespace pmo::nvbm {
 
 namespace {
@@ -56,7 +58,9 @@ void Heap::attach() {
       write_high_water(at);
       break;
     }
-    if (oh.flags != kAllocatedFlag) {
+    if (oh.flags == kAllocatedFlag) {
+      set_size(payload, oh.payload_size);
+    } else {
       if (oh.flags != kFreeFlag) {
         oh.flags = kFreeFlag;
         device_.store(at, oh);
@@ -82,6 +86,13 @@ void Heap::write_high_water(std::uint64_t hw) {
   device_.store(field, hw);
   device_.flush(field, sizeof(hw));
   device_.persist_barrier();
+}
+
+void Heap::set_size(std::uint64_t payload_offset, std::uint32_t size) {
+  const std::size_t idx = payload_offset >> 3;
+  if (idx >= sizes_.size())  // only allocations land past the end
+    sizes_.resize(std::max<std::size_t>(idx + 1, high_water_ >> 3));
+  sizes_[idx] = size;
 }
 
 void Heap::reserve_class(std::size_t size) {
@@ -118,6 +129,7 @@ std::uint64_t Heap::alloc(std::size_t size) {
     ObjHeader oh{static_cast<std::uint32_t>(size), kAllocatedFlag};
     device_.store(hdr_off, oh);
     device_.flush(hdr_off, sizeof(oh));
+    set_size(payload, oh.payload_size);
     free_bytes_ -= klass;  // approximation: stored rounded on free
     --free_objects_;
     return payload;
@@ -136,6 +148,7 @@ std::uint64_t Heap::alloc(std::size_t size) {
   device_.store(hdr_off, oh);
   device_.flush(hdr_off, sizeof(oh));
   write_high_water(next);
+  set_size(payload, oh.payload_size);
   return payload;
 }
 
@@ -212,6 +225,7 @@ void Heap::release_arena(Arena& arena) {
     bytes += sizeof(ObjHeader);
     lines += device_.lines_of(hdr_off, sizeof(ObjHeader));
     device_.mark_written(hdr_off, sizeof(ObjHeader));
+    set_size(arena.slots_[i], arena.obj_size_);
   }
   if (ops != 0) device_.account_writes(ops, bytes, lines);
 
@@ -242,11 +256,11 @@ void Heap::release_arena(Arena& arena) {
 }
 
 void Heap::free(std::uint64_t payload_offset) {
-  const std::uint64_t hdr_off = payload_offset - sizeof(ObjHeader);
-  auto oh = device_.load<ObjHeader>(hdr_off);
-  PMO_CHECK_MSG(oh.flags == kAllocatedFlag,
+  PMO_CHECK_MSG(is_allocated(payload_offset),
                 "double free or bad offset " << payload_offset);
-  oh.flags = kFreeFlag;
+  const std::uint64_t hdr_off = payload_offset - sizeof(ObjHeader);
+  const ObjHeader oh{sizes_[payload_offset >> 3], kFreeFlag};
+  set_size(payload_offset, 0);
   device_.store(hdr_off, oh);
   device_.flush(hdr_off, sizeof(oh));
   const std::size_t klass = rounded(oh.payload_size);
@@ -259,19 +273,18 @@ void Heap::free(std::uint64_t payload_offset) {
   ++free_objects_;
 }
 
-std::uint32_t Heap::payload_size(std::uint64_t payload_offset) {
-  const auto oh =
-      device_.load<ObjHeader>(payload_offset - sizeof(ObjHeader));
-  return oh.payload_size;
+std::uint32_t Heap::payload_size(std::uint64_t payload_offset) const {
+  PMO_CHECK_MSG(is_allocated(payload_offset),
+                "payload_size of unallocated offset " << payload_offset);
+  return sizes_[payload_offset >> 3];
 }
 
-bool Heap::is_allocated(std::uint64_t payload_offset) {
+bool Heap::is_allocated(std::uint64_t payload_offset) const {
   if (payload_offset < kHeaderSize + sizeof(ObjHeader) ||
-      payload_offset >= high_water_)
+      payload_offset >= high_water_ || (payload_offset & 7) != 0)
     return false;
-  const auto oh =
-      device_.load<ObjHeader>(payload_offset - sizeof(ObjHeader));
-  return oh.flags == kAllocatedFlag;
+  const std::size_t idx = payload_offset >> 3;
+  return idx < sizes_.size() && sizes_[idx] != 0;
 }
 
 void Heap::set_root(int slot, std::uint64_t offset) {
@@ -304,9 +317,11 @@ void Heap::for_each_object(
 
 std::size_t Heap::sweep(const std::function<bool(std::uint64_t)>& live) {
   std::vector<std::uint64_t> dead;
-  for_each_object([&](std::uint64_t payload, std::uint32_t, bool allocated) {
-    if (allocated && !live(payload)) dead.push_back(payload);
-  });
+  for (std::size_t idx = 0; idx < sizes_.size(); ++idx) {
+    if (sizes_[idx] == 0) continue;
+    const std::uint64_t payload = std::uint64_t{idx} << 3;
+    if (!live(payload)) dead.push_back(payload);
+  }
   for (const auto payload : dead) free(payload);
   return dead.size();
 }

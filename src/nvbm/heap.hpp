@@ -4,10 +4,12 @@
 //   [Header | object, object, ...]           (offsets grow upward)
 // Every object is an 8-byte ObjHeader followed by its payload. The header
 // holds a durable high-water mark and a small table of named durable roots
-// (8-byte offsets). Free lists are *volatile* and rebuilt on attach: this
-// is deliberate — the PM-octree recovery story (paper §3.4) reclaims
-// unreachable objects by mark-and-sweep GC from the consistent root, so
-// the allocator itself needs no write-ahead logging. The only operation
+// (8-byte offsets). Free lists and the per-object size table are
+// *volatile* and rebuilt on attach, so alloc, free and sweep never read a
+// header back from the device. This is deliberate — the PM-octree
+// recovery story (paper §3.4) reclaims unreachable objects by
+// mark-and-sweep GC from the consistent root, so the allocator itself
+// needs no write-ahead logging. The only operation
 // that must be atomic and durable is the 8-byte root update (set_root),
 // exactly as the paper argues.
 #pragma once
@@ -24,7 +26,7 @@ namespace pmo::nvbm {
 /// Index of a named durable root slot.
 inline constexpr int kMaxRoots = 16;
 
-/// Statistics of heap occupancy (drives threshold_NVBM GC scheduling).
+/// Statistics of heap occupancy.
 struct HeapStats {
   std::uint64_t capacity = 0;
   std::uint64_t high_water = 0;    ///< top of ever-allocated region
@@ -115,10 +117,10 @@ class Heap {
   void free(std::uint64_t payload_offset);
 
   /// Payload size recorded for an allocated object.
-  std::uint32_t payload_size(std::uint64_t payload_offset);
+  std::uint32_t payload_size(std::uint64_t payload_offset) const;
 
   /// True if the offset currently addresses an allocated object payload.
-  bool is_allocated(std::uint64_t payload_offset);
+  bool is_allocated(std::uint64_t payload_offset) const;
 
   /// Durable atomic 8-byte root update: write + flush + barrier.
   void set_root(int slot, std::uint64_t offset);
@@ -129,9 +131,9 @@ class Heap {
   void for_each_object(
       const std::function<void(std::uint64_t, std::uint32_t, bool)>& fn);
 
-  /// Frees every allocated object for which `live` returns false. Returns
-  /// the number of objects reclaimed. This is the sweep half of the
-  /// PM-octree mark-and-sweep collector.
+  /// Frees, in ascending offset order, every allocated object for which
+  /// `live` returns false. Returns the number of objects reclaimed. This is
+  /// the sweep half of the PM-octree's recovery mark-and-sweep collector.
   std::size_t sweep(const std::function<bool(std::uint64_t)>& live);
 
   HeapStats stats();
@@ -162,6 +164,7 @@ class Heap {
   void attach();
   static std::size_t rounded(std::size_t size) noexcept;
   void write_high_water(std::uint64_t hw);
+  void set_size(std::uint64_t payload_offset, std::uint32_t size);
 
   Device& device_;
   std::uint64_t high_water_ = 0;  // volatile mirror of header field
@@ -174,6 +177,9 @@ class Heap {
   std::vector<std::uint64_t> fast_list_;
   std::uint64_t free_bytes_ = 0;
   std::uint64_t free_objects_ = 0;
+  // Payload size of each allocated object by payload offset / 8 (0 = none
+  // starts there); grows with the high-water mark.
+  std::vector<std::uint32_t> sizes_;
 };
 
 /// Typed persistent pointer: a 64-bit offset into a Heap's device. Offset

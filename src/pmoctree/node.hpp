@@ -97,7 +97,7 @@ struct NodeRefHash {
 
 /// Node flags.
 enum NodeFlags : std::uint32_t {
-  kNodeDeleted = 1u << 0,  ///< tombstoned; reclaimed by the next GC sweep
+  kNodeDeleted = 1u << 0,  ///< tombstoned shared-subtree root (§3.2)
   /// Dirty-subtree summary bit (DRAM-resident nodes only): some octant in
   /// this node's subtree mutated since the last persist, so the merge
   /// must recurse here. A clean DRAM node (bit unset, epoch < current,

@@ -18,6 +18,16 @@ constexpr std::size_t kNodeSize = sizeof(PNode);
 std::size_t lines_for(std::size_t bytes, std::size_t line) noexcept {
   return (bytes + line - 1) / line;
 }
+
+// Position of `code` in a pre-order DFS that visits children in
+// descending slot order: flip every child digit (d -> 7 - d) and order by
+// (flipped anchor, level), so an ancestor precedes its descendants.
+std::pair<std::uint64_t, int> reverse_dfs_key(const LocCode& code) {
+  const int shift = 3 * (kMaxLevel - code.level());
+  const std::uint64_t digits = (std::uint64_t{1} << (3 * kMaxLevel)) - 1;
+  const std::uint64_t flipped = (~code.key() & digits) >> shift << shift;
+  return {flipped, code.level()};
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -36,7 +46,6 @@ PmOctree::PmOctree(nvbm::Heap& heap, PmConfig config)
   tm_.cow_copies = &reg.counter("pmoctree.cow_copies");
   tm_.twin_reuse = &reg.counter("pmoctree.merge.twin_reuse");
   tm_.merged_from_dram = &reg.counter("pmoctree.merge.merged_from_dram");
-  tm_.tombstoned = &reg.counter("pmoctree.merge.tombstoned");
   tm_.evictions = &reg.counter("pmoctree.merge.evictions");
   tm_.persists = &reg.counter("pmoctree.persists");
   tm_.gc_sweeps = &reg.counter("pmoctree.gc.sweeps");
@@ -121,6 +130,7 @@ PmOctree PmOctree::restore(nvbm::Heap& heap, PmConfig config) {
   tree.registry_->publish(root_off,
                           static_cast<std::uint32_t>(heap.root(kEpochSlot)),
                           tree.logical_nodes_);
+  tree.recovery_gc_ = true;  // crash orphans: the first persist's gc()
   // Depth is re-learned lazily; seed it from the persisted root's subtree
   // on first stats() call. Keep 0 here to stay O(1).
   return tree;
@@ -130,16 +140,16 @@ PmOctree PmOctree::restore(nvbm::Heap& heap, PmConfig config) {
 // node access layer
 // ---------------------------------------------------------------------------
 
-void PmOctree::charge_dram_read() {
-  ++dram_.reads;
-  const auto lines = lines_for(kNodeSize, config_.cache_line);
+void PmOctree::charge_dram_read(std::uint64_t nodes) {
+  dram_.reads += nodes;
+  const auto lines = nodes * lines_for(kNodeSize, config_.cache_line);
   dram_.lines_read += lines;
   dram_.modeled_read_ns += lines * config_.dram_read_ns;
 }
 
-void PmOctree::charge_dram_write() {
-  ++dram_.writes;
-  const auto lines = lines_for(kNodeSize, config_.cache_line);
+void PmOctree::charge_dram_write(std::uint64_t nodes) {
+  dram_.writes += nodes;
+  const auto lines = nodes * lines_for(kNodeSize, config_.cache_line);
   dram_.lines_written += lines;
   dram_.modeled_write_ns += lines * config_.dram_write_ns;
 }
@@ -234,6 +244,7 @@ void PmOctree::nv_store(std::uint64_t offset, const PNode& node) {
   clean.flags &= ~kNodeSubtreeDirty;
   device().store<PNode>(offset, clean);
   cache_.update(offset, clean, epoch_);
+  note_links(offset, clean);
 }
 
 void PmOctree::nv_store_partial(std::uint64_t offset, std::size_t field_off,
@@ -244,34 +255,47 @@ void PmOctree::nv_store_partial(std::uint64_t offset, std::size_t field_off,
   device().write(offset + field_off,
                  reinterpret_cast<const std::byte*>(&clean) + field_off, len);
   cache_.update(offset, clean, epoch_);
+  note_links(offset, clean);
 }
 
 void PmOctree::nv_free(std::uint64_t offset) {
   ++structure_version_;
-  if (cache_.invalidate(offset)) tm_.cache_invalidations->add();
+  unlink(offset);
+  forget(offset);
   heap_.free(offset);
+}
+
+bool PmOctree::store_dram(NodeRef ref, const PNode& node) {
+  if (!ref.in_dram()) return false;
+  ++structure_version_;
+  charge_dram_write();
+  *ref.dram_ptr() = node;
+  return true;
+}
+
+PNode* PmOctree::take_dram_slot() {
+  PNode* slot = nullptr;
+  if (!dram_free_.empty()) {
+    slot = dram_free_.back();
+    dram_free_.pop_back();
+  } else {
+    dram_pool_.emplace_back();
+    slot = &dram_pool_.back();
+  }
+  ++dram_node_count_;
+  return slot;
 }
 
 void PmOctree::write_node(NodeRef ref, const PNode& node) {
   PMO_DCHECK(!ref.null());
   touch_heat(node.code, 1.0);
-  if (ref.in_dram()) {
-    ++structure_version_;
-    charge_dram_write();
-    *ref.dram_ptr() = node;
-    return;
-  }
+  if (store_dram(ref, node)) return;
   nv_store(ref.nvbm_offset(), node);
 }
 
 void PmOctree::write_back_data(PathEntry& e) {
   touch_heat(e.node.code, 1.0);
-  if (e.ref.in_dram()) {
-    ++structure_version_;
-    charge_dram_write();
-    *e.ref.dram_ptr() = e.node;
-    return;
-  }
+  if (store_dram(e.ref, e.node)) return;
   // Only data/flags/epoch changed; the code/parent/children prefix on the
   // device is already identical (the node was either stored whole at its
   // CoW allocation or was private with the same links).
@@ -281,12 +305,7 @@ void PmOctree::write_back_data(PathEntry& e) {
 
 void PmOctree::write_back_child(NodeRef ref, const PNode& node, int ci) {
   touch_heat(node.code, 1.0);
-  if (ref.in_dram()) {
-    ++structure_version_;
-    charge_dram_write();
-    *ref.dram_ptr() = node;
-    return;
-  }
+  if (store_dram(ref, node)) return;
   nv_store_partial(ref.nvbm_offset(),
                    offsetof(PNode, child) + static_cast<std::size_t>(ci) * 8,
                    8, node);
@@ -298,12 +317,7 @@ void PmOctree::write_back_child(NodeRef ref, const PNode& node, int ci) {
 
 void PmOctree::write_back_children(NodeRef ref, const PNode& node) {
   touch_heat(node.code, 1.0);
-  if (ref.in_dram()) {
-    ++structure_version_;
-    charge_dram_write();
-    *ref.dram_ptr() = node;
-    return;
-  }
+  if (store_dram(ref, node)) return;
   nv_store_partial(ref.nvbm_offset(), offsetof(PNode, child),
                    sizeof(node.child), node);
   nv_store_partial(ref.nvbm_offset(), offsetof(PNode, flags),
@@ -318,16 +332,8 @@ NodeRef PmOctree::alloc_node(const PNode& proto, bool prefer_dram) {
   const auto ceiling = static_cast<std::size_t>(
       static_cast<double>(config_.dram_budget_bytes) * config_.dram_overflow);
   if (prefer_dram && dram_bytes() < ceiling) {
-    PNode* slot = nullptr;
-    if (!dram_free_.empty()) {
-      slot = dram_free_.back();
-      dram_free_.pop_back();
-    } else {
-      dram_pool_.emplace_back();
-      slot = &dram_pool_.back();
-    }
+    PNode* slot = take_dram_slot();
     *slot = proto;
-    ++dram_node_count_;
     charge_dram_write();
     c0_set_.insert(subtree_id(proto.code));
     return NodeRef::dram(slot);
@@ -342,7 +348,10 @@ void PmOctree::free_node(NodeRef ref) {
   PMO_DCHECK(!ref.null());
   ++structure_version_;
   if (ref.in_dram()) {
-    twins_.erase(ref.dram_ptr());
+    if (const auto it = twins_.find(ref.dram_ptr()); it != twins_.end()) {
+      retire(it->second.off, it->second.birth);
+      twins_.erase(it);
+    }
     dram_free_.push_back(ref.dram_ptr());
     --dram_node_count_;
     return;
@@ -517,7 +526,11 @@ NodeRef PmOctree::make_mutable(Path& path, std::size_t i) {
   // immutable and shared by construction — which is the promotion path:
   // the copy is an ordinary pointer-tier PNode whose untouched child slots
   // keep addressing the chain.
-  if (ref.in_linear()) tm_.linear_promotions->add();
+  if (ref.in_linear()) {
+    tm_.linear_promotions->add();
+  } else {
+    retire(ref.nvbm_offset(), birth_of(ref.nvbm_offset(), path[i].node.epoch));
+  }
   tm_.cow_copies->add();
   telemetry::trace::instant("pmoctree.cow_copy", "pmoctree",
                             {{"depth", static_cast<double>(i)}});
@@ -576,25 +589,22 @@ LocCode PmOctree::leaf_containing(const LocCode& code) {
 
 void PmOctree::for_each_node(
     const std::function<void(const LocCode&, const CellData&, bool)>& fn) {
-  if (cur_root_.null()) return;
-  std::vector<NodeRef> stack{cur_root_};
-  while (!stack.empty()) {
-    const NodeRef ref = stack.back();
-    stack.pop_back();
-    const PNode node = read_node(ref);
-    fn(node.code, node.data, node.is_leaf());
-    for (int i = kChildrenPerNode - 1; i >= 0; --i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c);
-    }
-  }
+  for_each_node_ex([&](const LocCode& code, const CellData& data, bool leaf,
+                       bool) { fn(code, data, leaf); });
 }
 
 void PmOctree::for_each_node_ex(
     const std::function<void(const LocCode&, const CellData&, bool, bool)>&
         fn) {
-  if (cur_root_.null()) return;
-  std::vector<NodeRef> stack{cur_root_};
+  walk_from(cur_root_, fn);
+}
+
+void PmOctree::walk_from(
+    NodeRef root,
+    const std::function<void(const LocCode&, const CellData&, bool, bool)>&
+        fn) {
+  if (root.null()) return;
+  std::vector<NodeRef> stack{root};
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
@@ -609,9 +619,7 @@ void PmOctree::for_each_node_ex(
 
 void PmOctree::for_each_leaf(
     const std::function<void(const LocCode&, const CellData&)>& fn) {
-  for_each_node([&](const LocCode& code, const CellData& data, bool leaf) {
-    if (leaf) fn(code, data);
-  });
+  for_each_leaf_from(cur_root_, fn);
 }
 
 void PmOctree::extract_leaves_soa(std::vector<std::uint64_t>& keys,
@@ -674,18 +682,10 @@ void PmOctree::extract_leaves_soa(std::vector<std::uint64_t>& keys,
 void PmOctree::for_each_leaf_from(
     NodeRef root,
     const std::function<void(const LocCode&, const CellData&)>& fn) {
-  if (root.null()) return;
-  std::vector<NodeRef> stack{root};
-  while (!stack.empty()) {
-    const NodeRef ref = stack.back();
-    stack.pop_back();
-    const PNode node = read_node(ref);
-    if (node.is_leaf()) fn(node.code, node.data);
-    for (int i = kChildrenPerNode - 1; i >= 0; --i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c);
-    }
-  }
+  walk_from(root, [&](const LocCode& code, const CellData& data, bool leaf,
+                      bool) {
+    if (leaf) fn(code, data);
+  });
 }
 
 void PmOctree::for_each_leaf_prev(
@@ -824,7 +824,7 @@ void PmOctree::update(const LocCode& code, const CellData& data) {
 std::size_t PmOctree::free_subtree(NodeRef ref, bool tombstone_shared) {
   if (ref.null()) return 0;
   if (ref.in_linear()) {
-    // A chain is freed as a unit by GC once nothing references it; an
+    // A chain is freed as a unit once no node links it; an
     // individual record can be neither freed nor tombstoned. The skip
     // word IS the subtree's logical octant count — O(1), no recursion.
     const std::uint64_t chain = ref.linear_chain();
@@ -834,40 +834,26 @@ std::size_t PmOctree::free_subtree(NodeRef ref, bool tombstone_shared) {
     charge_linear_page(linear::page_offset(chain, r));
     return view.skip(r);
   }
-  if (ref.in_dram()) {
-    const PNode node = *ref.dram_ptr();
+  PNode node = ref.in_dram() ? *ref.dram_ptr() : nv_load(ref.nvbm_offset());
+  if (ref.in_dram() || node.epoch == epoch_) {  // private: free outright
     std::size_t n = 1;
     for (int i = 0; i < kChildrenPerNode; ++i)
       n += free_subtree(node.child_ref(i), tombstone_shared);
     free_node(ref);
     return n;
   }
-  PNode node = nv_load(ref.nvbm_offset());
-  if (node.epoch == epoch_) {
-    std::size_t n = 1;
-    for (int i = 0; i < kChildrenPerNode; ++i)
-      n += free_subtree(node.child_ref(i), tombstone_shared);
-    free_node(ref);
-    return n;
-  }
-  // Shared with V_{i-1}: may not be freed or mutated structurally. Mark the
-  // subtree root as deleted (tombstone); GC reclaims it once the version
-  // that references it is superseded (§3.2, Deletion). The children are
-  // recursed with tombstoning off purely to COUNT the logical octants
-  // leaving V_i (a shared node's descendants are all shared, so nothing
-  // below is freed either).
+  // Shared with V_{i-1}: tombstone the subtree root and retire every node
+  // (§3.2, Deletion); the recursion with tombstoning off retires the rest
+  // and COUNTS the logical octants leaving V_i.
+  retire(ref.nvbm_offset(), birth_of(ref.nvbm_offset(), node.epoch));
   std::size_t n = 1;
   for (int i = 0; i < kChildrenPerNode; ++i)
     n += free_subtree(node.child_ref(i), /*tombstone_shared=*/false);
+  // A pinned reader may be traversing this shared node right now, so the
+  // kNodeDeleted flip is not written under a live pin.
   if (tombstone_shared && !node.deleted()) {
     touch_heat(node.code, 1.0);
-    if (registry_->pin_count() != 0) {
-      // Epoch-based reclamation: a pinned reader may be traversing this
-      // shared node right now, so the kNodeDeleted flip must not be
-      // written under it. Defer the mark; it is drained by the next
-      // pin-free persist and subsumed entirely by gc().
-      deferred_tombstones_.push_back(ref.nvbm_offset());
-    } else {
+    if (registry_->pin_count() == 0) {
       node.flags |= kNodeDeleted;
       nv_store_partial(ref.nvbm_offset(), offsetof(PNode, flags),
                        sizeof(node.flags), node);
@@ -1093,20 +1079,24 @@ NodeRef PmOctree::nvbmify(NodeRef ref, std::size_t* moved) {
   // out unchanged).
   if (const auto it = twins_.find(ref.dram_ptr());
       clean && it != twins_.end()) {
-    const std::uint64_t twin_off = it->second;
+    const std::uint64_t twin_off = it->second.off;
     const PNode twin = nv_load(twin_off);
     bool match = true;
     for (int i = 0; i < kChildrenPerNode; ++i)
       match &= twin.child[i] == node.child[i];
     if (match) {
       tm_.twin_reuse->add();
-      free_node(ref);  // also drops the twins_ entry
+      twins_.erase(it);  // the twin stays linked: not retired
+      free_node(ref);
       ++(*moved);
       return NodeRef::nvbm(twin_off);
     }
   }
   const std::uint64_t off = heap_.alloc(kNodeSize);
   const NodeRef nref = NodeRef::nvbm(off);
+  // A clean octant keeps its old epoch, so the fresh object reads as
+  // shared although no sealed version holds it yet.
+  if (clean) born_late_.emplace(off, epoch_);
   nv_store(off, node);
   // Fix advisory parent pointers of private (current-epoch) children.
   for (int i = 0; i < kChildrenPerNode; ++i) {
@@ -1164,6 +1154,7 @@ struct PmOctree::MergeCtx {
   std::vector<StoreRec> stores;
   std::vector<std::uint64_t> frees;
   std::vector<std::pair<const PNode*, std::uint64_t>> twin_inserts;
+  std::vector<FringeParent> fringe;
 
   // Deferred stats / telemetry.
   PersistStats stats;
@@ -1217,21 +1208,22 @@ struct PmOctree::MergeCtx {
     return arena.alloc();
   }
   PNode* take_dram_slot() {
-    if (direct) {
-      PmOctree& t = *tree;
-      PNode* slot = nullptr;
-      if (!t.dram_free_.empty()) {
-        slot = t.dram_free_.back();
-        t.dram_free_.pop_back();
-      } else {
-        t.dram_pool_.emplace_back();
-        slot = &t.dram_pool_.back();
-      }
-      ++t.dram_node_count_;
-      return slot;
-    }
+    if (direct) return tree->take_dram_slot();
     PMO_DCHECK(next_dram_slot < dram_slots.size());
     return dram_slots[next_dram_slot++];
+  }
+
+  /// Logs the fresh durable node `off`'s old (unchanged) NVBM children
+  /// that its working copy links too, i.e. that no C0 copy shadows.
+  void log_fringe(std::uint64_t off, const PNode& node, PNode* working,
+                  const MergeResult* res) {
+    std::uint8_t slots = 0;
+    for (int i = 0; i < kChildrenPerNode; ++i) {
+      const MergeResult& r = res[i];
+      if (r.pref.in_nvbm() && !r.changed && r.wref == r.pref)
+        slots |= static_cast<std::uint8_t>(1u << i);
+    }
+    if (slots != 0) fringe.push_back({off, node, working, slots});
   }
 
   struct MeasureR {
@@ -1283,10 +1275,6 @@ PmOctree::MergeCtx::MeasureR PmOctree::MergeCtx::measure(PmOctree& t,
     return {true, false};
   ++need_twins;
   return {true, true};
-}
-
-void PmOctree::measure_subtree(NodeRef ref, MergeCtx& ctx) {
-  ctx.measure(*this, ref);
 }
 
 bool PmOctree::merge_would_recurse(NodeRef ref) {
@@ -1343,6 +1331,7 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
         }
       }
       if (relink) ctx.store_children(ref.nvbm_offset(), node);
+      ctx.log_fringe(ref.nvbm_offset(), node, nullptr, child_res);
       return {ref, ref, true};  // created this epoch: new vs V_{i-1}
     }
     // This node sits above DRAM children: split it into a DRAM working
@@ -1360,6 +1349,7 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
     PNode* slot = ctx.take_dram_slot();
     *slot = working;
     ++ctx.dram_writes;
+    ctx.log_fringe(twin_off, twin, slot, child_res);
     ctx.twin_inserts.emplace_back(slot, twin_off);
     ctx.frees.push_back(ref.nvbm_offset());
     ++ctx.stats.merged_from_dram;
@@ -1378,7 +1368,7 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
     // octants the merge processes, `pruned_subtrees` counts the skips.
     if (const auto it = twins_.find(ptr); it != twins_.end()) {
       ++ctx.stats.pruned_subtrees;
-      return {ref, NodeRef::nvbm(it->second), false};
+      return {ref, NodeRef::nvbm(it->second.off), false};
     }
   }
   ++ctx.stats.visits;
@@ -1388,8 +1378,10 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
   PNode twin_content = *ptr;
   bool child_changed = false;
   bool working_relink = false;
+  MergeResult child_res[kChildrenPerNode];
   for (int i = 0; i < kChildrenPerNode; ++i) {
-    const auto sub = persist_subtree(twin_content.child_ref(i), ctx);
+    const MergeResult& sub = child_res[i] =
+        persist_subtree(twin_content.child_ref(i), ctx);
     twin_content.set_child(i, sub.pref);
     child_changed |= sub.changed;
     if (!(sub.wref == ptr->child_ref(i))) {
@@ -1403,14 +1395,15 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
   const auto twin_it = twins_.find(ptr);
   if (!dirty && !child_changed && twin_it != twins_.end()) {
     ++ctx.twin_reuse;
-    return {ref, NodeRef::nvbm(twin_it->second), false};  // reuse: shared
+    return {ref, NodeRef::nvbm(twin_it->second.off), false};  // reuse
   }
   // Write a fresh durable twin; the old one (if any) still belongs to
-  // V_{i-1} and is reclaimed by GC once that version is superseded.
+  // V_{i-1} and is retired when the replay installs the new one.
   twin_content.epoch = epoch_;
   twin_content.set_parent(NodeRef{});  // advisory; fixed by the parent
   const std::uint64_t off = ctx.alloc_twin();
   ctx.store(off, twin_content);
+  ctx.log_fringe(off, twin_content, ptr, child_res);
   ctx.twin_inserts.emplace_back(ptr, off);
   ++ctx.stats.merged_from_dram;
   ++ctx.changed;
@@ -1418,24 +1411,27 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
 }
 
 void PmOctree::replay_task(MergeTask& task, PersistStats& stats,
-                           std::size_t& changed) {
+                           std::size_t& changed,
+                           std::vector<FringeParent>& fringe) {
   MergeCtx& c = task.ctx;
   device().account_reads(c.read_ops, c.read_bytes, c.read_lines);
   device().account_writes(c.write_ops, c.write_bytes, c.write_lines);
   for (const auto& s : c.stores) {
     device().mark_written(s.obj + s.off, s.len);
     cache_.update(s.obj, s.node, epoch_);
+    note_links(s.obj, s.node);
   }
   for (const auto off : c.frees) nv_free(off);
-  for (const auto& [slot, off] : c.twin_inserts) twins_[slot] = off;
-  // DRAM-side accounting (same per-node line math as charge_dram_*).
-  const auto lines = lines_for(kNodeSize, config_.cache_line);
-  dram_.reads += c.dram_reads;
-  dram_.lines_read += c.dram_reads * lines;
-  dram_.modeled_read_ns += c.dram_reads * lines * config_.dram_read_ns;
-  dram_.writes += c.dram_writes;
-  dram_.lines_written += c.dram_writes * lines;
-  dram_.modeled_write_ns += c.dram_writes * lines * config_.dram_write_ns;
+  for (const auto& [slot, off] : c.twin_inserts) {
+    const auto [it, fresh] = twins_.try_emplace(slot, Twin{off, epoch_});
+    if (!fresh) {
+      retire(it->second.off, it->second.birth);
+      it->second = Twin{off, epoch_};
+    }
+  }
+  fringe.insert(fringe.end(), c.fringe.begin(), c.fringe.end());
+  charge_dram_read(c.dram_reads);
+  charge_dram_write(c.dram_writes);
   stats.visits += c.stats.visits;
   stats.pruned_subtrees += c.stats.pruned_subtrees;
   stats.merged_from_dram += c.stats.merged_from_dram;
@@ -1448,8 +1444,9 @@ void PmOctree::replay_task(MergeTask& task, PersistStats& stats,
   }
 }
 
-PmOctree::MergeResult PmOctree::run_merge(PersistStats& stats,
-                                          std::size_t& changed) {
+PmOctree::MergeResult PmOctree::run_merge(
+    PersistStats& stats, std::size_t& changed,
+    std::vector<FringeParent>& fringe) {
   // Crown pre-walk (levels 0-1, sequential): the merge tasks are the
   // non-null level-2 subtrees the merge will actually reach. Partitioning
   // at the grandchildren yields up to 64 independent tasks over disjoint
@@ -1498,8 +1495,7 @@ PmOctree::MergeResult PmOctree::run_merge(PersistStats& stats,
   };
 
   // Measure (read-only, parallel): exact twin/split demand per task.
-  run_tasks(
-      [&](std::size_t i) { measure_subtree(tasks[i].root, tasks[i].ctx); });
+  run_tasks([&](std::size_t i) { tasks[i].ctx.measure(*this, tasks[i].root); });
 
   // Carve per-task allocation sources (sequential): the NVBM layout and
   // DRAM slot assignment become a pure function of task order.
@@ -1510,18 +1506,8 @@ PmOctree::MergeResult PmOctree::run_merge(PersistStats& stats,
       c.has_arena = true;
     }
     c.dram_slots.reserve(c.need_dram);
-    for (std::size_t k = 0; k < c.need_dram; ++k) {
-      PNode* slot = nullptr;
-      if (!dram_free_.empty()) {
-        slot = dram_free_.back();
-        dram_free_.pop_back();
-      } else {
-        dram_pool_.emplace_back();
-        slot = &dram_pool_.back();
-      }
-      ++dram_node_count_;
-      c.dram_slots.push_back(slot);
-    }
+    for (std::size_t k = 0; k < c.need_dram; ++k)
+      c.dram_slots.push_back(take_dram_slot());
   }
 
   // Merge (parallel): a worker touches only task-local state, its own
@@ -1534,7 +1520,7 @@ PmOctree::MergeResult PmOctree::run_merge(PersistStats& stats,
   std::unordered_map<std::uint64_t, MergeResult> results;
   results.reserve(tasks.size());
   for (auto& t : tasks) {
-    replay_task(t, stats, changed);
+    replay_task(t, stats, changed, fringe);
     results.emplace(t.root.bits(), t.result);
   }
 
@@ -1548,7 +1534,7 @@ PmOctree::MergeResult PmOctree::run_merge(PersistStats& stats,
   crown.ctx.direct = true;
   crown.ctx.results = &results;
   crown.result = persist_subtree(cur_root_, crown.ctx);
-  replay_task(crown, stats, changed);
+  replay_task(crown, stats, changed, fringe);
   return crown.result;
 }
 
@@ -1593,22 +1579,24 @@ void PmOctree::collect_census(NodeRef root, SampleCensus& census) {
 // linear-tier compaction (DESIGN.md §11)
 // ---------------------------------------------------------------------------
 
-bool PmOctree::compactable_subtree(NodeRef ref, std::size_t& count) {
-  // Purity walk: the whole subtree must be old pointer-tier NVBM. A fresh
-  // node means the merge rewrote something below (not clean after all); a
-  // linear child means a previous compaction already claimed part of it —
-  // the pointer crown above an existing chain stays pointer-tier forever,
-  // chains never nest. Loads go through nv_load and are charged like any
-  // other read: compaction pays to inspect its candidates.
+bool PmOctree::compactable_subtree(
+    NodeRef ref, std::vector<std::pair<std::uint64_t, PNode>>& nodes) {
+  // Purity walk in DFS pre-order: the whole subtree must be old
+  // pointer-tier NVBM. A fresh node means the merge rewrote something
+  // below (not clean after all); a linear child means a previous
+  // compaction already claimed part of it — the pointer crown above an
+  // existing chain stays pointer-tier forever, chains never nest. Loads
+  // are charged: compaction pays to inspect its candidates, once.
   std::vector<std::uint64_t> stack{ref.nvbm_offset()};
-  count = 0;
+  nodes.clear();
   while (!stack.empty()) {
     const std::uint64_t off = stack.back();
     stack.pop_back();
     const PNode node = nv_load(off);
     if (node.deleted() || node.epoch == epoch_) return false;
-    if (++count > linear::kMaxChainRecords) return false;
-    for (int i = 0; i < kChildrenPerNode; ++i) {
+    if (nodes.size() >= linear::kMaxChainRecords) return false;
+    nodes.emplace_back(off, node);
+    for (int i = kChildrenPerNode - 1; i >= 0; --i) {
       const NodeRef c = node.child_ref(i);
       if (c.null()) continue;
       if (!c.in_nvbm()) return false;
@@ -1618,68 +1606,43 @@ bool PmOctree::compactable_subtree(NodeRef ref, std::size_t& count) {
   return true;
 }
 
-void PmOctree::build_chain_records(NodeRef ref, linear::Builder& b) {
-  // DFS pre-order emission; close() turns emission counts into the skip
-  // (subtree-size) words the rank-select descent walks. Recursion depth
-  // is bounded by the octree depth (<= kMaxLevel), not the record count.
-  const PNode node = nv_load(ref.nvbm_offset());
-  std::uint8_t mask = 0;
-  for (int i = 0; i < kChildrenPerNode; ++i)
-    if (!node.child_ref(i).null()) mask |= static_cast<std::uint8_t>(1u << i);
-  PMO_DCHECK(mask == node.child_mask());
-  const std::size_t idx = b.add(node.code, mask, node.data);
-  for (int i = 0; i < kChildrenPerNode; ++i) {
-    const NodeRef c = node.child_ref(i);
-    if (!c.null()) build_chain_records(c, b);
-  }
-  b.close(idx);
-}
-
-void PmOctree::compact_clean_subtrees(NodeRef new_prev, PersistStats& stats) {
+void PmOctree::compact_clean_subtrees(std::vector<FringeParent>& fringe,
+                                      PersistStats& stats) {
   // Runs on the coordinator between the merge and flush_all: chain pages
   // and relinked parents land in the crash-sim write buffer ahead of the
   // root swap, and the *old* durable root never references a chain. A
   // crash mid-compaction therefore recovers to a fully pointer-tier
   // image, a crash after the swap to a fully compacted one — a torn
-  // chain is unreachable either way.
-  if (!new_prev.in_nvbm()) return;
-  if (nv_load(new_prev.nvbm_offset()).epoch != epoch_)
-    return;  // nothing changed this persist: no fresh fringe to walk
-
-  // Reverse twin map: fresh durable offset -> its C0 working copy. A
-  // relinked child slot must update both the sealed image and the
-  // working tree, which stay byte-equal so the next persist can keep
-  // sharing the node.
-  std::unordered_map<std::uint64_t, PNode*> working_of;
-  working_of.reserve(twins_.size());
-  for (const auto& [slot, off] : twins_)
-    working_of.emplace(off, const_cast<PNode*>(slot));
-
-  std::vector<std::uint64_t> stack{new_prev.nvbm_offset()};
-  while (!stack.empty()) {
-    const std::uint64_t poff = stack.back();
-    stack.pop_back();
-    PNode node = nv_load(poff);
-    PNode* wnode = nullptr;
-    if (const auto it = working_of.find(poff); it != working_of.end())
-      wnode = it->second;
+  // chain is unreachable either way. Visiting the merge's fringe log in
+  // DFS order over the fresh nodes (children in descending slot order)
+  // keeps the chain allocation order, and the heap layout, a pure
+  // function of the tree; no fresh node is read.
+  std::sort(fringe.begin(), fringe.end(),
+            [](const FringeParent& a, const FringeParent& b) {
+              return reverse_dfs_key(a.node.code) <
+                     reverse_dfs_key(b.node.code);
+            });
+  std::vector<std::pair<std::uint64_t, PNode>> nodes;
+  std::vector<std::pair<std::size_t, int>> open;  // (record, level)
+  for (auto& [poff, node, working, slots] : fringe) {
     bool relinked = false;
     for (int i = 0; i < kChildrenPerNode; ++i) {
+      if ((slots & (1u << i)) == 0) continue;
       const NodeRef c = node.child_ref(i);
-      if (c.null() || !c.in_nvbm()) continue;  // chains are final
-      if (nv_load(c.nvbm_offset()).epoch == epoch_) {
-        stack.push_back(c.nvbm_offset());  // fresh fringe: keep walking
-        continue;
-      }
-      // Old shared child = root of a persisted-and-clean subtree. Skip it
-      // when the working tree holds a DRAM copy (the subtree is C0-hot;
-      // compacting would orphan the working nodes and split the twins).
-      if (wnode != nullptr && !(wnode->child_ref(i) == c)) continue;
-      std::size_t records = 0;
-      if (!compactable_subtree(c, records)) continue;
+      if (!compactable_subtree(c, nodes)) continue;
+      const std::size_t records = nodes.size();
       if (records < config_.compact_min_records) continue;
+      // Pre-order emission; a record closes (its skip word becomes its
+      // subtree size) once the next record is no longer its descendant.
       linear::Builder b;
-      build_chain_records(c, b);
+      for (const auto& [off, n] : nodes) {
+        for (; !open.empty() && open.back().second >= n.code.level();
+             open.pop_back())
+          b.close(open.back().first);
+        open.emplace_back(b.add(n.code, n.child_mask(), n.data),
+                          n.code.level());
+      }
+      for (; !open.empty(); open.pop_back()) b.close(open.back().first);
       const std::uint64_t chain = heap_.alloc(b.bytes());
       b.write(device(), chain, epoch_);
       const std::uint32_t npages = linear::pages_for(records);
@@ -1694,17 +1657,17 @@ void PmOctree::compact_clean_subtrees(NodeRef new_prev, PersistStats& stats) {
           "pmoctree.compact", "pmoctree",
           {{"records", static_cast<double>(records)},
            {"pages", static_cast<double>(npages)}});
-      // The superseded pointer nodes stay untouched: V_{i-1} and pinned
-      // readers still descend them. Reachability GC (or the deferred
-      // tombstone pass) reclaims them once no sealed version remains.
+      // The superseded pointer nodes stay untouched — V_{i-1} and pinned
+      // readers still descend them — and are retired with this seal.
+      for (const auto& [off, n] : nodes) retire(off, birth_of(off, n.epoch));
     }
     if (!relinked) continue;
     write_back_children(NodeRef::nvbm(poff), node);
-    if (wnode != nullptr) {
-      PNode w = *wnode;
+    if (working != nullptr) {
+      PNode w = *working;
       for (int i = 0; i < kChildrenPerNode; ++i)
         if (node.child_ref(i).in_linear()) w.set_child(i, node.child_ref(i));
-      write_back_children(NodeRef::dram(wnode), w);
+      write_back_children(NodeRef::dram(working), w);
     }
   }
 }
@@ -1722,9 +1685,10 @@ PersistStats PmOctree::persist() {
   stats.nodes_total = logical_nodes_;
   std::size_t changed = 0;
   MergeResult res;
+  std::vector<FringeParent> fringe;
   {
     telemetry::Span merge_span("merge");  // pmoctree.persist.merge
-    res = run_merge(stats, changed);
+    res = run_merge(stats, changed, fringe);
   }
   const NodeRef new_prev = res.pref;
   cur_root_ = res.wref;  // NVBM-above-DRAM nodes may have joined C0
@@ -1744,7 +1708,7 @@ PersistStats PmOctree::persist() {
   //     relinks visible) only through the same root swap as the merge.
   if (config_.linear_compaction) {
     telemetry::Span compact_span("compact");  // pmoctree.persist.compact
-    compact_clean_subtrees(new_prev, stats);
+    compact_clean_subtrees(fringe, stats);
   }
   // Crash-injection hook: die here, with the merge's and compaction's
   // writes unflushed and the durable root still pointing at V_{i-1}.
@@ -1754,7 +1718,6 @@ PersistStats PmOctree::persist() {
   //    This 8-byte update is the only ordering-critical write (§1).
   device().flush_all();
   device().persist_barrier();
-  const NodeRef old_prev = prev_root_;
   // The node-count slot is advisory (restore() only reads it for the
   // telemetry baseline), so it goes first: a crash between the slot
   // stores can misreport a statistic but never corrupt the tree.
@@ -1769,23 +1732,6 @@ PersistStats PmOctree::persist() {
        {"visits", static_cast<double>(stats.visits)},
        {"pruned_subtrees", static_cast<double>(stats.pruned_subtrees)}});
 
-  // 3. Tombstone octants that existed only in the superseded version.
-  //    When GC runs right away it reclaims them directly, so the explicit
-  //    marking pass is only needed for deferred collection. Epoch-based
-  //    reclamation: while ANY snapshot pin is live the marking is
-  //    deferred — flipping kNodeDeleted writes into bytes a pinned
-  //    reader may be memcpy-ing concurrently. The superseded root is
-  //    retired instead and the whole backlog drains at the next pin-free
-  //    persist (gc() subsumes it by reachability).
-  if (!config_.gc_on_persist) {
-    if (!old_prev.null() && !(old_prev == new_prev)) {
-      retired_roots_.emplace_back(epoch_, old_prev);
-    }
-    if (registry_->pin_count() == 0) {
-      stats.tombstoned += process_deferred_tombstones(new_prev);
-    }
-  }
-
   prev_root_ = new_prev;
   ++epoch_;
   // The sealed version is durable: publish it to the pin registry so
@@ -1797,24 +1743,23 @@ PersistStats PmOctree::persist() {
   // letting the epoch stamp expire it wholesale.
   cache_.restamp(epoch_ - 1, epoch_);
 
-  // 4. Reclaim superseded octants (GC is never run *during* the merge).
-  if (config_.gc_on_persist) {
+  // 3. Reclaim superseded objects (never *during* the merge): free the
+  //    retire list's entries no pinned epoch can reach. After restore()
+  //    the full sweep runs once instead, to reclaim crash orphans.
+  {
     telemetry::Span gc_span("gc");  // pmoctree.persist.gc
-    stats.gc_freed = gc();
+    stats.gc_freed = recovery_gc_ ? gc() : drain_retired();
   }
 
-  // 5. Decay heat and re-layout hot subtrees (the paper triggers dynamic
+  // 4. Decay heat and re-layout hot subtrees (the paper triggers dynamic
   //    transformation only after merging completes).
   for (auto& [id, h] : heat_) h *= 0.5;
-  const bool want_census = config_.enable_transform && !features_.empty();
-  if (want_census) {
+  if (config_.enable_transform && !features_.empty()) {
     telemetry::Span tr_span("transform");  // pmoctree.persist.transform
-    SampleCensus census;
-    collect_census(cur_root_, census);
-    transform_with(census);
+    maybe_transform();
   }
 
-  // 6. Automated C0 sizing (the paper's §6 future work): adapt the DRAM
+  // 5. Automated C0 sizing (the paper's §6 future work): adapt the DRAM
   //    budget to keep the NVBM tier's share of memory accesses in band.
   if (config_.auto_budget) {
     // Node-cache hits are DRAM accesses: count them on the DRAM side so
@@ -1842,7 +1787,6 @@ PersistStats PmOctree::persist() {
 
   tm_.persists->add();
   tm_.merged_from_dram->add(stats.merged_from_dram);
-  tm_.tombstoned->add(stats.tombstoned);
   tm_.persist_visits->add(stats.visits);
   tm_.persist_pruned->add(stats.pruned_subtrees);
   telemetry::trace::instant(
@@ -1881,6 +1825,7 @@ void PmOctree::collect_reachable_nvbm(
     const PNode node = ref.in_dram()
                            ? *ref.dram_ptr()
                            : nv_load(ref.nvbm_offset());
+    if (ref.in_nvbm()) note_links(ref.nvbm_offset(), node);
     for (int i = 0; i < kChildrenPerNode; ++i) {
       const NodeRef c = node.child_ref(i);
       if (!c.null()) stack.push_back(c);
@@ -1888,90 +1833,115 @@ void PmOctree::collect_reachable_nvbm(
   }
 }
 
-std::size_t PmOctree::process_deferred_tombstones(NodeRef new_prev) {
-  if (retired_roots_.empty() && deferred_tombstones_.empty()) return 0;
-  std::size_t marked = 0;
-  std::unordered_set<std::uint64_t> in_new;
-  collect_reachable_nvbm(new_prev, in_new);
-  const auto mark = [&](std::uint64_t off, PNode& node) {
-    if (node.deleted()) return;
-    node.flags |= kNodeDeleted;
-    nv_store_partial(off, offsetof(PNode, flags), sizeof(node.flags), node);
-    ++marked;
+void PmOctree::note_links(std::uint64_t off, const PNode& node) {
+  std::vector<std::uint64_t> chains;  // distinct, in slot order
+  for (int i = 0; i < kChildrenPerNode; ++i) {
+    const NodeRef c = node.child_ref(i);
+    if (c.in_linear() && std::find(chains.begin(), chains.end(),
+                                   c.linear_chain()) == chains.end())
+      chains.push_back(c.linear_chain());
+  }
+  if (chains.empty() && linkers_.empty()) return;  // pointer-only fast path
+  const auto it = linkers_.find(off);
+  if (it != linkers_.end() && it->second == chains) return;
+  // Count the new links before dropping the old ones, so a chain the
+  // node keeps never touches zero.
+  for (const std::uint64_t chain : chains) ++chain_refs_[chain];
+  unlink(off);
+  if (!chains.empty()) linkers_.emplace(off, std::move(chains));
+}
+
+void PmOctree::unlink(std::uint64_t off) {
+  const auto it = linkers_.find(off);
+  if (it == linkers_.end()) return;
+  for (const std::uint64_t chain : it->second) {
+    if (--chain_refs_[chain] != 0) continue;
+    // Unreachable by any version: the empty range frees it next drain.
+    chain_refs_.erase(chain);
+    retired_.push_back({chain, epoch_, epoch_});
+  }
+  linkers_.erase(it);
+}
+
+void PmOctree::forget(std::uint64_t off) {
+  if (cache_.invalidate(off)) tm_.cache_invalidations->add();
+  if (!born_late_.empty()) born_late_.erase(off);
+  // A freed chain must leave the page-residency cache before the heap
+  // reuses the bytes for something with different charge semantics.
+  if (const auto it = chains_.find(off); it != chains_.end()) {
+    page_cache_.invalidate_chain(off, it->second);
+    chains_.erase(it);
+  }
+}
+
+std::size_t PmOctree::drain_retired() {
+  // Epoch-based reclamation: an entry is blocked while some pinned epoch
+  // p has birth <= p < death — that reader's version still holds it.
+  const auto pinned = registry_->pinned_roots();  // ascending epochs
+  const auto blocked = [&](const Retired& r) {
+    const auto it = std::lower_bound(pinned.begin(), pinned.end(),
+                                     std::make_pair(r.birth, std::uint64_t{0}));
+    return it != pinned.end() && it->first < r.death;
   };
-  for (const auto& [sealed_epoch, root] : retired_roots_) {
-    (void)sealed_epoch;
-    std::vector<NodeRef> stack{root};
-    while (!stack.empty()) {
-      const NodeRef ref = stack.back();
-      stack.pop_back();
-      if (in_new.count(ref.nvbm_offset()) != 0) continue;
-      PNode node = nv_load(ref.nvbm_offset());
-      mark(ref.nvbm_offset(), node);
-      for (int i = 0; i < kChildrenPerNode; ++i) {
-        const NodeRef c = node.child_ref(i);
-        // Linear children carry no deleted flag — chains are reclaimed
-        // whole by the reachability sweep, never tombstoned per record.
-        if (c.null() || !c.in_nvbm()) continue;
-        if (in_new.count(c.nvbm_offset()) == 0) stack.push_back(c);
-      }
+  std::vector<std::uint64_t> batch;
+  std::size_t kept = 0;
+  // Indexed: unlink() may append dead chains, drained in this same pass.
+  for (std::size_t i = 0; i < retired_.size(); ++i) {
+    const Retired r = retired_[i];
+    if (blocked(r)) {
+      retired_[kept++] = r;
+      continue;
     }
+    unlink(r.off);
+    batch.push_back(r.off);
   }
-  retired_roots_.clear();
-  // Individually deferred shared-subtree removals. The offsets are still
-  // valid: only gc() frees shared nodes, and gc() clears this list.
-  for (const std::uint64_t off : deferred_tombstones_) {
-    if (in_new.count(off) != 0) continue;  // never mark a live octant
-    PNode node = nv_load(off);
-    mark(off, node);
+  retired_.resize(kept);
+  // Ascending offsets, like a heap sweep: the free lists — and so every
+  // later allocation offset — are those a full mark-and-sweep would give.
+  std::sort(batch.begin(), batch.end());
+  for (const std::uint64_t off : batch) {
+    forget(off);
+    heap_.free(off);
   }
-  deferred_tombstones_.clear();
-  return marked;
+  return reclaimed(batch.size());
 }
 
 std::size_t PmOctree::gc() {
+  // The mark rebuilds the chain counts (empty after restore()).
+  linkers_.clear();
+  chain_refs_.clear();
+  recovery_gc_ = false;
   std::unordered_set<std::uint64_t> live;
   collect_reachable_nvbm(prev_root_, live);
   collect_reachable_nvbm(cur_root_, live);
   // Epoch-based reclamation: every version a reader still pins stays
-  // fully live. Whatever survives *only* because of a pin is the
-  // deferred-reclamation set (the serve bench's high-water metric).
-  const auto pinned = registry_->pinned_roots();
-  if (!pinned.empty()) {
-    const std::size_t base = live.size();
-    for (const auto& [epoch, root] : pinned) {
-      (void)epoch;
-      collect_reachable_nvbm(NodeRef::nvbm(root), live);
-    }
-    deferred_nodes_ = live.size() - base;
-  } else {
-    deferred_nodes_ = 0;
+  // fully live.
+  for (const auto& [epoch, root] : registry_->pinned_roots()) {
+    (void)epoch;
+    collect_reachable_nvbm(NodeRef::nvbm(root), live);
   }
-  if (deferred_nodes_ > deferred_hwm_) deferred_hwm_ = deferred_nodes_;
-  // Reachability subsumes tombstone marking: everything the deferred
-  // lists point at is either reclaimed by this sweep or still reachable
-  // from a root (and a later gc picks it up once it no longer is).
-  retired_roots_.clear();
-  deferred_tombstones_.clear();
   // The sweep frees offsets behind the node accessor's back and the heap
   // may hand them out again within this epoch — invalidate exactly the
   // swept offsets so the surviving working set keeps its hit rate across
   // the persist (the cache is restamped, not cleared, at epoch bumps).
-  std::size_t invalidated = 0;
   const std::size_t freed = heap_.sweep([&](std::uint64_t off) {
     const bool is_live = live.count(off) != 0;
-    if (!is_live) {
-      if (cache_.invalidate(off)) ++invalidated;
-      // Freed chains must leave the page-residency cache before the heap
-      // reuses the bytes for something with different charge semantics.
-      if (const auto it = chains_.find(off); it != chains_.end()) {
-        page_cache_.invalidate_chain(off, it->second);
-        chains_.erase(it);
-      }
-    }
+    if (!is_live) forget(off);
     return is_live;
   });
-  tm_.cache_invalidations->add(invalidated);
+  // Entries the sweep kept are reachable from a pinned version (or,
+  // mid-epoch, V_{i-1}) — except empty-range chains queued by the
+  // incomplete counts after restore(), which are live.
+  std::erase_if(retired_, [&](const Retired& r) {
+    return r.birth == r.death || !heap_.is_allocated(r.off);
+  });
+  return reclaimed(freed);
+}
+
+std::size_t PmOctree::reclaimed(std::size_t freed) {
+  // Pin-only retention is exactly the pin-blocked retire entries.
+  deferred_nodes_ = retired_.size();
+  if (deferred_nodes_ > deferred_hwm_) deferred_hwm_ = deferred_nodes_;
   ++structure_version_;
   tm_.gc_sweeps->add();
   tm_.gc_freed->add(freed);
@@ -1993,8 +1963,11 @@ void PmOctree::destroy() {
                 "pm_delete with live snapshot pins — release every "
                 "SnapshotHandle before destroying the tree");
   registry_->publish(0, 0, 0);
-  retired_roots_.clear();
-  deferred_tombstones_.clear();
+  retired_.clear();
+  born_late_.clear();
+  linkers_.clear();
+  chain_refs_.clear();
+  recovery_gc_ = false;
   deferred_nodes_ = 0;
   tm_.cache_invalidations->add(cache_.clear());
   page_cache_.clear();
@@ -2050,51 +2023,50 @@ NodeRef PmOctree::dramify(NodeRef ref, std::size_t* moved,
     copy.set_child(i, dramify(copy.child_ref(i), moved, node_limit));
   if (dram_bytes() >= config_.dram_budget_bytes) return ref;
   // Place the copy in DRAM (force: this is the transformation's purpose).
-  PNode* slot = nullptr;
-  if (!dram_free_.empty()) {
-    slot = dram_free_.back();
-    dram_free_.pop_back();
-  } else {
-    dram_pool_.emplace_back();
-    slot = &dram_pool_.back();
-  }
+  PNode* slot = take_dram_slot();
   if (shared) {
     // The original stays as V_{i-1}'s copy AND becomes the DRAM node's
     // durable twin: the octant is unchanged, only its residence moved, so
     // the next persist can keep sharing it.
-    twins_[slot] = ref.nvbm_offset();
+    twins_[slot] = Twin{ref.nvbm_offset(),
+                        birth_of(ref.nvbm_offset(), node.epoch)};
   } else {
     // Private original: the DRAM copy simply replaces it.
     copy.epoch = epoch_;
     nv_free(ref.nvbm_offset());
   }
   *slot = copy;
-  ++dram_node_count_;
   charge_dram_write();
   const NodeRef nref = NodeRef::dram(slot);
   ++(*moved);
   return nref;
 }
 
-TransformStats PmOctree::maybe_transform() {
-  TransformStats out;
-  if (features_.empty() || config_.dram_budget_bytes == 0) return out;
-  const int lsub = subtree_level();
-  if (lsub <= 0) return out;  // whole tree fits in DRAM; nothing to do
-  // Standalone invocation: collect the census with one traversal (the
-  // persist path collects it during the merge instead).
-  SampleCensus census;
-  std::vector<NodeRef> stack{cur_root_};
-  while (!stack.empty()) {
-    const NodeRef ref = stack.back();
-    stack.pop_back();
-    const PNode node = read_node(ref);
-    census_add(census, node.code, node.data, ref.in_dram());
-    for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c);
-    }
+void PmOctree::relayout(const LocCode& id, bool to_dram, std::size_t* moved,
+                        std::size_t node_limit) {
+  Path path;
+  if (!descend(id, path)) return;
+  const std::size_t i = path.size() - 1;
+  if (i > 0) make_mutable(path, i - 1);
+  const NodeRef nref = to_dram ? dramify(path[i].ref, moved, node_limit)
+                               : nvbmify(path[i].ref, moved);
+  if (i == 0) {
+    cur_root_ = nref;
+  } else if (!(nref == path[i].ref)) {
+    path[i - 1].node.set_child(id.child_index(), nref);
+    write_node(path[i - 1].ref, path[i - 1].node);
   }
+  if (to_dram) {
+    c0_set_.insert(id);
+  } else {
+    c0_set_.erase(id);
+  }
+}
+
+TransformStats PmOctree::maybe_transform() {
+  if (features_.empty()) return {};
+  SampleCensus census;
+  collect_census(cur_root_, census);
   return transform_with(census);
 }
 
@@ -2152,28 +2124,6 @@ TransformStats PmOctree::transform_with(SampleCensus& buckets) {
   }
   if (desired.empty()) return out;
 
-  // Relink helper: replaces the subtree rooted at `id` with conv(subtree).
-  auto replace_subtree = [&](const LocCode& id, bool to_dram,
-                             std::size_t* moved) {
-    Path path;
-    if (!descend(id, path)) return;
-    const std::size_t i = path.size() - 1;
-    if (i > 0) make_mutable(path, i - 1);
-    const NodeRef nref = to_dram ? dramify(path[i].ref, moved, capacity)
-                                 : nvbmify(path[i].ref, moved);
-    if (i == 0) {
-      cur_root_ = nref;
-    } else if (!(nref == path[i].ref)) {
-      path[i - 1].node.set_child(id.child_index(), nref);
-      write_node(path[i - 1].ref, path[i - 1].node);
-    }
-    if (to_dram) {
-      c0_set_.insert(id);
-    } else {
-      c0_set_.erase(id);
-    }
-  };
-
   // Evict resident subtrees outside the plan when Ratio_access (hottest
   // pending pull vs the resident subtree) exceeds T_transform (§3.3).
   for (auto it = ranked.rbegin(); it != ranked.rend(); ++it) {  // asc freq
@@ -2182,7 +2132,7 @@ TransformStats PmOctree::transform_with(SampleCensus& buckets) {
                          (static_cast<double>(it->freq) + 1.0);
     out.best_ratio = std::max(out.best_ratio, ratio);
     if (ratio <= config_.t_transform) continue;
-    replace_subtree(it->id, /*to_dram=*/false, &out.evicted_to_nvbm);
+    relayout(it->id, /*to_dram=*/false, &out.evicted_to_nvbm, capacity);
   }
   // Pull the planned hot subtrees into DRAM (hottest first) until the
   // budget is reached; dramify itself stops allocating at the budget, so
@@ -2191,7 +2141,7 @@ TransformStats PmOctree::transform_with(SampleCensus& buckets) {
   for (const auto& r : ranked) {
     if (dram_bytes() >= config_.dram_budget_bytes) break;
     if (desired.count(r.id) == 0 || r.dram == r.size) continue;
-    replace_subtree(r.id, /*to_dram=*/true, &out.moved_to_dram);
+    relayout(r.id, /*to_dram=*/true, &out.moved_to_dram, capacity);
   }
   out.transformed = out.moved_to_dram > 0 || out.evicted_to_nvbm > 0;
   if (out.transformed) tm_.transform_runs->add();
@@ -2237,19 +2187,8 @@ void PmOctree::enforce_dram_budget() {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [h, id] : order) {
     if (dram_bytes() <= config_.dram_budget_bytes) break;
-    Path path;
-    if (!descend(id, path)) continue;
-    const std::size_t i = path.size() - 1;
-    if (i > 0) make_mutable(path, i - 1);
     std::size_t moved = 0;
-    const NodeRef nref = nvbmify(path[i].ref, &moved);
-    if (i == 0) {
-      cur_root_ = nref;
-    } else if (!(nref == path[i].ref)) {
-      path[i - 1].node.set_child(id.child_index(), nref);
-      write_node(path[i - 1].ref, path[i - 1].node);
-    }
-    c0_set_.erase(id);
+    relayout(id, /*to_dram=*/false, &moved, 0);
     if (moved > 0) {
       ++eviction_merges_;
       tm_.evictions->add();

@@ -52,7 +52,6 @@ struct PersistStats {
   std::size_t nodes_total = 0;    ///< octants in V_i at persist time
   std::size_t nodes_shared = 0;   ///< octants shared with V_{i-1}
   std::size_t merged_from_dram = 0;  ///< C0 octants written out to C1
-  std::size_t tombstoned = 0;     ///< old-version-only octants marked
   std::size_t gc_freed = 0;
   std::uint64_t delta_bytes = 0;  ///< replica delta size (new/changed nodes)
   double overlap_ratio = 0.0;     ///< shared / total (the paper's metric)
@@ -210,14 +209,15 @@ class PmOctree {
   // ---- persistence & versioning -------------------------------------------
 
   /// pm_persistent: merge C0 into C1, make V_i durable, atomically swap the
-  /// persistent root, tombstone the superseded version, optionally GC, and
+  /// persistent root, free the retired objects no pinned version can reach
+  /// (the first persist after restore() runs the full gc() instead), and
   /// run the dynamic layout transformation.
   PersistStats persist();
 
-  /// Mark-and-sweep garbage collection: frees every NVBM node unreachable
-  /// from both roots AND from every pinned snapshot (epoch-based
-  /// reclamation — see snapshot.hpp). Returns the number of octants
-  /// reclaimed.
+  /// Full mark-and-sweep: frees every NVBM object unreachable from both
+  /// roots and every pinned snapshot; returns the count. The recovery
+  /// collector — the first persist after restore() runs it once to
+  /// reclaim crash orphans; other persists free only their retire list.
   std::size_t gc();
 
   // ---- snapshot pinning & epoch-based reclamation --------------------------
@@ -225,18 +225,18 @@ class PmOctree {
   /// Pins the latest durable version (the epoch sealed by the last
   /// persist()) and returns a refcounted handle onto it. While any handle
   /// on an epoch lives, every node reachable from that version keeps its
-  /// bytes: gc() treats the pinned root as live, and tombstone marking
-  /// (persist step 3, shared-subtree removal) is deferred so the mutator
-  /// never writes into bytes a pinned reader may be reading. Pinning and
-  /// releasing are safe from any thread; everything else on this class
-  /// stays owner-thread-only. Requires has_prev_version().
+  /// bytes: a retired object stays allocated while its epoch range holds a
+  /// pinned epoch, and shared-subtree removal skips its tombstone write so
+  /// the mutator never writes into bytes a pinned reader may be reading.
+  /// Pinning and releasing are safe from any thread; everything else on
+  /// this class stays owner-thread-only. Requires has_prev_version().
   SnapshotHandle pin_snapshot();
   /// Distinct epochs currently pinned.
   std::size_t pinned_epochs() const noexcept {
     return registry_->pin_count();
   }
-  /// Nodes the last gc() kept alive solely because a pinned snapshot
-  /// could still reach them (0 when nothing is pinned).
+  /// Nodes the last reclamation kept alive solely because a pinned
+  /// snapshot could still reach them: the pin-blocked retire entries.
   std::size_t deferred_reclaim_nodes() const noexcept {
     return deferred_nodes_;
   }
@@ -272,11 +272,11 @@ class PmOctree {
   void register_feature(FeatureFn fn) {
     features_.push_back(std::move(fn));
   }
-  void clear_features() { features_.clear(); }
 
   /// Runs the transformation check and, when Ratio_access > T_transform,
   /// re-lays out the tree (hot NVBM subtree into DRAM, coldest C0 subtree
   /// out). Called automatically by persist(); exposed for tests/ablations.
+  /// The census walk is uncharged (collect_census).
   TransformStats maybe_transform();
 
   /// Feature-directed sampling census of one subtree bucket (§3.3). The
@@ -362,9 +362,13 @@ class PmOctree {
   PNode read_node(NodeRef ref);
   void write_node(NodeRef ref, const PNode& node);
   NodeRef alloc_node(const PNode& proto, bool prefer_dram);
+  /// A DRAM node slot (recycled or new), counted in C0.
+  PNode* take_dram_slot();
+  /// Stores `node` when `ref` is a DRAM node; false for NVBM refs.
+  bool store_dram(NodeRef ref, const PNode& node);
   void free_node(NodeRef ref);
-  void charge_dram_read();
-  void charge_dram_write();
+  void charge_dram_read(std::uint64_t nodes = 1);
+  void charge_dram_write(std::uint64_t nodes = 1);
   void touch_heat(const LocCode& code, double amount);
   /// Cache-aware NVBM node read: serves hits from the hot-node cache at
   /// DRAM latency, admits misses. The descent path's only NVBM read.
@@ -373,9 +377,7 @@ class PmOctree {
   /// device MUST go through here (or write_node) to keep the cache
   /// coherent within an epoch.
   void nv_store(std::uint64_t offset, const PNode& node);
-  /// NVBM node free with cache invalidation: the offset may be handed out
-  /// again by the heap within the same epoch, so the epoch stamp alone
-  /// cannot protect a cached copy.
+  /// Immediate NVBM free of an object no sealed version references.
   void nv_free(std::uint64_t offset);
   /// Partial NVBM node store: writes only [field_off, field_off+len) of
   /// the node image (one child slot, the children array, the data..epoch
@@ -460,6 +462,14 @@ class PmOctree {
     NodeRef pref;           ///< persistent-version ref (always NVBM)
     bool changed = false;   ///< pref differs from the previous version's
   };
+  /// A fresh durable node with old NVBM children no C0 copy shadows: the
+  /// compaction candidates of one parent, logged by the merge.
+  struct FringeParent {
+    std::uint64_t off;      ///< the fresh durable node
+    PNode node;             ///< its stored content
+    PNode* working;         ///< its C0 working copy, or nullptr
+    std::uint8_t slots;     ///< candidate child slots
+  };
   /// Per-task merge context (defined in pm_octree.cpp): routes a merge
   /// task's node loads/stores, twin allocations, frees, DRAM bookkeeping
   /// and stats through task-local buffers so parallel workers share no
@@ -472,18 +482,16 @@ class PmOctree {
   MergeResult persist_subtree(NodeRef ref, MergeCtx& ctx);
   /// The whole merge pipeline: crown pre-walk -> parallel measure ->
   /// arena carve -> parallel merge -> deterministic replay -> sequential
-  /// crown merge. Returns the root MergeResult.
-  MergeResult run_merge(PersistStats& stats, std::size_t& changed);
-  /// Read-only pre-merge measurement of one task subtree: exact counts of
-  /// twin allocations and DRAM split slots the merge will need (mirrors
-  /// persist_subtree's decisions), so arenas are carved exactly.
-  void measure_subtree(NodeRef ref, MergeCtx& ctx);
+  /// crown merge. Returns the root MergeResult; appends the fringe logs
+  /// in task order.
+  MergeResult run_merge(PersistStats& stats, std::size_t& changed,
+                        std::vector<FringeParent>& fringe);
   /// Mirrors persist_subtree's "will this visit recurse?" decision for
   /// the crown pre-walk (levels 0-1).
   bool merge_would_recurse(NodeRef ref);
   /// Applies one finished task's deferred side effects (coordinator).
   void replay_task(MergeTask& task, PersistStats& stats,
-                   std::size_t& changed);
+                   std::size_t& changed, std::vector<FringeParent>& fringe);
   /// Stamps kNodeSubtreeDirty on the DRAM prefix of path[0..i] (the
   /// mutation's ancestor chain). NVBM entries are skipped: a shared NVBM
   /// ancestor gets CoW-copied (fresh epoch) before any descendant
@@ -500,20 +508,54 @@ class PmOctree {
   TransformStats transform_with(SampleCensus& census);
   /// Copies/moves an NVBM subtree into DRAM (layout transformation).
   NodeRef dramify(NodeRef ref, std::size_t* moved, std::size_t node_limit);
+  /// Moves the subtree at `id` into DRAM (dramify) or out to NVBM
+  /// (nvbmify), relinks its parent and updates the C0 set.
+  void relayout(const LocCode& id, bool to_dram, std::size_t* moved,
+                std::size_t node_limit);
+  /// Marks every NVBM object reachable from `root` (a chain is one object)
+  /// and registers each node's chain links.
   void collect_reachable_nvbm(NodeRef root,
                               std::unordered_set<std::uint64_t>& out);
-  /// Shared DFS behind for_each_leaf_prev / for_each_leaf_snapshot.
+  /// Charged pre-order DFS from `root` (children in slot order).
+  void walk_from(NodeRef root,
+                 const std::function<void(const LocCode&, const CellData&,
+                                          bool leaf, bool in_dram)>& fn);
+  /// Leaf-only walk_from: for_each_leaf and the prev/snapshot traversals.
   void for_each_leaf_from(
       NodeRef root,
       const std::function<void(const LocCode&, const CellData&)>& fn);
-  /// Runs the deferred tombstone work (retired superseded roots plus
-  /// individual shared-subtree removals) once the pin set is empty.
-  /// Returns the number of octants marked. `new_prev` is the version the
-  /// marking must never touch.
-  std::size_t process_deferred_tombstones(NodeRef new_prev);
-  /// Returns the number of logical octants removed from V_i (tombstoned
-  /// shared subtrees are counted recursively without being freed).
+  /// Returns the number of logical octants removed from V_i. Private
+  /// nodes are freed, shared ones retired.
   std::size_t free_subtree(NodeRef ref, bool tombstone_shared);
+
+  // reclamation (DESIGN.md §9) ---------------------------------------------
+  /// A durable object that left the working version; the sealed versions
+  /// birth .. death-1 can reach it.
+  struct Retired {
+    std::uint64_t off;
+    std::uint32_t birth, death;
+  };
+  /// First sealed epoch holding the node at `off`.
+  std::uint32_t birth_of(std::uint64_t off, std::uint32_t epoch_field) const {
+    const auto it = born_late_.find(off);
+    return it == born_late_.end() ? epoch_field : it->second;
+  }
+  /// Records that the object at `off` leaves the version being built.
+  void retire(std::uint64_t off, std::uint32_t birth) {
+    retired_.push_back({off, birth, epoch_});
+  }
+  /// Frees, in ascending offset order, every retired object and dead
+  /// chain no pinned epoch can reach. Returns the number freed.
+  std::size_t drain_retired();
+  /// Shared tail of drain_retired() and gc(): pin-only count, telemetry.
+  std::size_t reclaimed(std::size_t freed);
+  /// Syncs the chain counts with the node stored at `off`.
+  void note_links(std::uint64_t off, const PNode& node);
+  /// Drops the chain links of the node at `off`; a chain left with no
+  /// linking node is retired.
+  void unlink(std::uint64_t off);
+  /// Drops the cache state of an object about to be freed.
+  void forget(std::uint64_t off);
 
   // linear cold tier (DESIGN.md §11) ---------------------------------------
   /// Synthesizes a pointer-tier view of linear record `ref`: code/data
@@ -527,18 +569,18 @@ class PmOctree {
   void charge_linear_page(std::uint64_t page_off);
   /// Registers a chain for page-cache invalidation + stats (idempotent).
   void note_chain(std::uint64_t chain, std::uint32_t npages);
-  /// The persist-time compaction stage: walks the freshly merged durable
-  /// tree (new_prev), finds maximal old pure-pointer subtrees, rewrites
-  /// each as one linear chain and relinks both the durable parent and its
-  /// working-tree counterpart. Runs before flush_all(), so a crash before
-  /// the root swap recovers the fully pointer-tier previous version.
-  void compact_clean_subtrees(NodeRef new_prev, PersistStats& stats);
+  /// The persist-time compaction stage: visits the merge's fringe log,
+  /// rewrites each maximal old pure-pointer subtree as one linear chain
+  /// and relinks both the durable parent and its working-tree
+  /// counterpart. Runs before flush_all(), so a crash before the root
+  /// swap recovers the fully pointer-tier previous version.
+  void compact_clean_subtrees(std::vector<FringeParent>& fringe,
+                              PersistStats& stats);
   /// True when `ref`'s whole subtree is old pointer-tier NVBM (no linear
-  /// refs, no DRAM, no tombstones) and small enough for one chain;
-  /// accumulates the record count.
-  bool compactable_subtree(NodeRef ref, std::size_t& count);
-  /// DFS pre-order emission of the subtree into a chain builder.
-  void build_chain_records(NodeRef ref, linear::Builder& b);
+  /// refs, no DRAM, no tombstones) and small enough for one chain; fills
+  /// `nodes` with its (offset, node) pairs in DFS pre-order.
+  bool compactable_subtree(
+      NodeRef ref, std::vector<std::pair<std::uint64_t, PNode>>& nodes);
   void note_depth(int level) noexcept {
     if (level > depth_) depth_ = level;
   }
@@ -551,10 +593,9 @@ class PmOctree {
     telemetry::Counter* cow_copies;        ///< pmoctree.cow_copies
     telemetry::Counter* twin_reuse;        ///< pmoctree.merge.twin_reuse
     telemetry::Counter* merged_from_dram;  ///< pmoctree.merge.merged_from_dram
-    telemetry::Counter* tombstoned;        ///< pmoctree.merge.tombstoned
     telemetry::Counter* evictions;         ///< pmoctree.merge.evictions
     telemetry::Counter* persists;          ///< pmoctree.persists
-    telemetry::Counter* gc_sweeps;         ///< pmoctree.gc.sweeps
+    telemetry::Counter* gc_sweeps;         ///< pmoctree.gc.sweeps (passes)
     telemetry::Counter* gc_freed;          ///< pmoctree.gc.freed
     telemetry::Counter* transform_runs;    ///< pmoctree.transform.runs
     telemetry::Counter* transform_moved_to_dram;
@@ -579,27 +620,36 @@ class PmOctree {
   std::deque<PNode> dram_pool_;
   std::vector<PNode*> dram_free_;
   std::size_t dram_node_count_ = 0;
-  /// Durable twin (NVBM offset) of each DRAM octant, recorded at the last
-  /// persist. A DRAM node whose epoch is older than the current one and
-  /// whose children's persistent refs are unchanged reuses its twin —
-  /// that is how C0 octants participate in version sharing (Fig. 2).
-  std::unordered_map<const PNode*, std::uint64_t> twins_;
+  /// Durable twin (offset, birth epoch) of each DRAM octant, recorded at
+  /// the last persist. A DRAM node whose epoch is older than the current
+  /// one and whose children's persistent refs are unchanged reuses its
+  /// twin — that is how C0 octants participate in version sharing
+  /// (Fig. 2).
+  struct Twin {
+    std::uint64_t off;
+    std::uint32_t birth;
+  };
+  std::unordered_map<const PNode*, Twin> twins_;
 
   NodeRef cur_root_;
   NodeRef prev_root_;
   /// Pin table shared with every SnapshotHandle (shared_ptr so handles
   /// survive tree moves). The ONLY tree state reader threads may touch.
   std::shared_ptr<SnapshotRegistry> registry_;
-  /// Superseded roots whose tombstone pass was deferred because snapshot
-  /// pins were live at persist time: (epoch that sealed them, root).
-  /// Drained by the next pin-free persist; cleared by gc() (reachability
-  /// subsumes tombstone marking).
-  std::vector<std::pair<std::uint32_t, NodeRef>> retired_roots_;
-  /// Shared-node tombstones deferred by remove()/coarsen() while pins
-  /// were live. Offsets stay valid until the next gc(), which clears the
-  /// list — only gc() ever frees shared nodes.
-  std::vector<std::uint64_t> deferred_tombstones_;
-  std::size_t deferred_nodes_ = 0;  ///< kept alive only by pins, last gc
+  /// The retire list: superseded CoW originals and twins, cut-off and
+  /// compacted shared nodes, not freed yet (DESIGN.md §9).
+  std::vector<Retired> retired_;
+  /// Eviction copies of clean C0 nodes keep an older PNode::epoch than
+  /// the epoch that first seals them: offset -> that epoch.
+  std::unordered_map<std::uint64_t, std::uint32_t> born_late_;
+  /// Chains each NVBM node links into, and per chain the number of such
+  /// nodes; at zero the chain is unreachable.
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> linkers_;
+  std::unordered_map<std::uint64_t, std::uint32_t> chain_refs_;
+  /// Set by restore(): the next persist runs gc(), which also rebuilds
+  /// linkers_ for the restored image.
+  bool recovery_gc_ = false;
+  std::size_t deferred_nodes_ = 0;  ///< kept alive only by pins, last drain
   std::size_t deferred_hwm_ = 0;
   std::uint32_t epoch_ = 1;
   int depth_ = 0;
@@ -624,8 +674,8 @@ class PmOctree {
   /// chain bytes are immutable). Empty when page_cache_bytes == 0.
   linear::PageCache page_cache_;
   /// Every chain seen by this tree: payload offset -> page count. Feeds
-  /// GC's page-cache invalidation and stats(); rebuilt lazily after
-  /// restore() as chains are first touched.
+  /// the page-cache invalidation of freed chains and stats(); rebuilt
+  /// lazily after restore() as chains are first touched.
   std::unordered_map<std::uint64_t, std::uint32_t> chains_;
   /// Per-exec-context traversal cursors, grown on demand. Safe without
   /// locks: a PmOctree is confined to one logical owner at a time (see

@@ -5,16 +5,18 @@
 // can traverse it while the mutator keeps refining and persisting. The
 // pin set feeds epoch-based reclamation inside PmOctree:
 //
-//  * gc() adds every pinned root's reachable set to the live set, so no
-//    node a reader can still reach is ever freed or reused;
-//  * tombstone marking (persist step 3 and shared-subtree removal) is
-//    deferred while any pin is live, because flipping kNodeDeleted on a
-//    shared node is a write into bytes a reader may be memcpy-ing.
+//  * persist() frees a retired node only when no pinned epoch lies in
+//    the node's [birth, death) epoch range, and the recovery gc() marks
+//    every pinned root live, so no node a reader can still reach is ever
+//    freed or reused;
+//  * shared-subtree removal skips its tombstone write while any pin is
+//    live, because flipping kNodeDeleted on a shared node is a write
+//    into bytes a reader may be memcpy-ing.
 //
 // Concurrency model: the registry is the ONLY PmOctree state that reader
 // threads touch. pin/unpin take a small mutex (never held while doing
 // tree work); the mutator reads an atomic pin count on its hot gates and
-// takes the mutex only once per persist/gc. Handles are shared_ptr-backed
+// takes the mutex only once per persist. Handles are shared_ptr-backed
 // so they stay safe across PmOctree moves; they must not outlive the
 // heap/device (the bytes they let readers address).
 #pragma once
@@ -105,18 +107,13 @@ class SnapshotRegistry {
   }
 
   /// (epoch, root) of every pinned version, ascending by epoch — the
-  /// deterministic iteration order gc()'s live-set walk relies on.
+  /// order the retire-list drain's range test and gc()'s walk rely on.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> pinned_roots() const {
     std::lock_guard lk(mu_);
     std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
     out.reserve(pins_.size());
     for (const auto& [epoch, e] : pins_) out.emplace_back(epoch, e.root);
     return out;
-  }
-
-  bool is_pinned(std::uint32_t epoch) const {
-    std::lock_guard lk(mu_);
-    return pins_.count(epoch) != 0;
   }
 
   /// Latest published (pinnable) version; root == 0 when none.
@@ -154,8 +151,8 @@ class SnapshotRegistry {
 /// Refcounted pin on one persisted epoch. Obtained from
 /// PmOctree::pin_snapshot(); copyable (shares the pin), movable. While
 /// any handle on an epoch is alive, every node reachable from that
-/// epoch's root keeps its bytes: GC will not free it and the mutator will
-/// not tombstone it. Handles may be released from any thread; the
+/// epoch's root keeps its bytes: reclamation will not free it and the
+/// mutator will not tombstone it. Handles may be released from any thread; the
 /// underlying device must outlive every handle.
 class SnapshotHandle {
  public:

@@ -325,5 +325,67 @@ TEST(PerfSmoke, IncrementalPersistVisitsAtMost10PercentOfNodes) {
       << "%)";
 }
 
+TEST(PerfSmoke, PersistOfAllC0TreeReadsNoNvbmLines) {
+  // Reclamation and compaction cost O(change): a tree held entirely in C0
+  // keeps its only NVBM objects (the durable twins) in write-only use, so
+  // a persist after mutating it must read zero NVBM lines — no heap sweep,
+  // no header loads on free, no compaction walk over the fresh fringe.
+  nvbm::Device dev(std::size_t{64} << 20, {});
+  nvbm::Heap heap(dev);
+  pmoctree::PmConfig pm;
+  pm.dram_budget_bytes = std::size_t{64} << 20;
+  auto tree = pmoctree::PmOctree::create(heap, pm);
+  for (int l = 0; l < 3; ++l)
+    tree.refine_where([](const LocCode&, const CellData&) { return true; });
+  tree.persist();
+  for (int step = 0; step < 3; ++step) {
+    std::size_t i = 0;
+    tree.refine_where([&](const LocCode&, const CellData&) {
+      return ++i % 97 == static_cast<std::size_t>(step);
+    });
+    tree.coarsen_where([&](const LocCode& c, const CellData&) {
+      return c.level() == 4 && c.child_index() == step;
+    });
+    tree.for_each_leaf_mut([&](const LocCode& c, CellData& d) {
+      if (c.key() % 13 != 0) return false;
+      d.vof += 0.01;
+      return true;
+    });
+    const auto before = dev.counters().lines_read;
+    const auto stats = tree.persist();
+    EXPECT_GT(stats.gc_freed, 0u) << "step " << step;
+    EXPECT_EQ(dev.counters().lines_read - before, 0u) << "step " << step;
+  }
+}
+
+TEST(PerfSmoke, OneLeafUpdatePersistFreesThePathAndLoadsNoHeapHeader) {
+  // A one-leaf update CoW-copies the root-to-leaf path; the persist that
+  // seals it frees exactly the depth + 1 superseded originals from the
+  // retire list. The heap's volatile size table answers every free, so
+  // each device read of the persist is a whole-node load — an 8-byte
+  // object-header load would break bytes_read == reads * sizeof(PNode).
+  nvbm::Device dev(std::size_t{64} << 20, {});
+  nvbm::Heap heap(dev);
+  pmoctree::PmConfig pm;
+  pm.dram_budget_bytes = 0;         // every octant is a durable node
+  pm.linear_compaction = false;     // nothing but the path changes
+  auto tree = pmoctree::PmOctree::create(heap, pm);
+  for (int l = 0; l < 4; ++l)
+    tree.refine_where([](const LocCode&, const CellData&) { return true; });
+  tree.persist();
+  const LocCode leaf = LocCode::root().child(6).child(1).child(7).child(2);
+  CellData d;
+  d.vof = 0.5;
+  tree.update(leaf, d);
+  const auto before = dev.counters();
+  const auto stats = tree.persist();
+  const auto& after = dev.counters();
+  EXPECT_EQ(stats.gc_freed, static_cast<std::size_t>(leaf.level()) + 1);
+  const auto reads = after.reads - before.reads;
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(after.bytes_read - before.bytes_read,
+            reads * sizeof(pmoctree::PNode));
+}
+
 }  // namespace
 }  // namespace pmo

@@ -78,7 +78,6 @@ TEST_P(CrashInjection, RestoreAlwaysYieldsLastPersistedVersion) {
   nvbm::Heap heap(dev);
   PmConfig pm;
   pm.dram_budget_bytes = 16 * sizeof(PNode);  // force heavy NVBM traffic
-  pm.gc_on_persist = true;
 
   LeafMap persisted;
   {
@@ -110,7 +109,6 @@ TEST_P(CrashInjection, CrashDuringMergeKeepsOldVersion) {
   nvbm::Device dev(64 << 20, crash_cfg());
   nvbm::Heap heap(dev);
   PmConfig pm;
-  pm.gc_on_persist = false;
 
   LeafMap persisted;
   {
@@ -209,7 +207,6 @@ TEST_P(CrashInjection, ParallelMergeKeepsCrashConsistency) {
   nvbm::Heap heap(dev);
   PmConfig pm;
   pm.dram_budget_bytes = 64 * sizeof(PNode);
-  pm.gc_on_persist = true;
 
   exec::ThreadPool pool(8);
   LeafMap persisted;

@@ -120,7 +120,6 @@ TEST(Persist, InPlaceUpdateForPrivateNodes) {
   // must not allocate more NVBM objects.
   PmConfig pm;
   pm.dram_budget_bytes = 0;  // all NVBM, the interesting tier
-  pm.gc_on_persist = false;
   Fixture fx(pm);
   auto tree = PmOctree::create(fx.heap, pm);
   const auto code = LocCode::from_grid(2, 3, 2, 1);
@@ -181,25 +180,26 @@ TEST(Persist, SharedOctantsStoredOnce) {
 
 TEST(Persist, GcReclaimsSupersededVersion) {
   PmConfig pm;
-  pm.gc_on_persist = false;
+  pm.dram_budget_bytes = 0;  // every octant a durable NVBM node
   Fixture fx(pm);
   auto tree = PmOctree::create(fx.heap, pm);
-  tree.insert(LocCode::from_grid(2, 0, 1, 0), cell(0.5));
+  const auto code = LocCode::from_grid(2, 0, 1, 0);
+  tree.insert(code, cell(0.5));
   tree.persist();
-  tree.update(LocCode::from_grid(2, 0, 1, 0), cell(0.6));
-  const auto before = fx.heap.stats().live_objects;
-  const auto stats = tree.persist();  // supersedes the old version
-  EXPECT_EQ(stats.gc_freed, 0u);      // gc disabled
-  EXPECT_GT(stats.tombstoned, 0u);
-  const auto freed = tree.gc();
-  EXPECT_GT(freed, 0u);
-  EXPECT_LT(fx.heap.stats().live_objects, before + stats.merged_from_dram);
-  // All remaining objects are exactly the reachable set.
+  tree.update(code, cell(0.6));
+  // The update CoW'd the root-to-leaf path; the sealing persist frees
+  // exactly the superseded originals from its retire list.
+  const auto stats = tree.persist();
+  EXPECT_EQ(stats.gc_freed, static_cast<std::size_t>(code.level()) + 1);
+  // All remaining objects are exactly the reachable set, so the full
+  // collector finds nothing left to reclaim.
+  EXPECT_EQ(fx.heap.stats().live_objects, tree.node_count());
+  EXPECT_EQ(tree.gc(), 0u);
   EXPECT_EQ(fx.heap.stats().live_objects, tree.node_count());
 }
 
 TEST(Persist, AutoGcOnPersistKeepsHeapTight) {
-  Fixture fx;  // gc_on_persist defaults to true
+  Fixture fx;
   auto tree = PmOctree::create(fx.heap, fx.config);
   tree.insert(LocCode::from_grid(2, 1, 1, 0), cell(0.2));
   for (int step = 0; step < 10; ++step) {

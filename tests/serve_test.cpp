@@ -10,6 +10,7 @@
 // here is part of the tsan_smoke gate.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 #include <vector>
@@ -231,7 +232,6 @@ TEST(ServeSnapshot, PinKeepsNodesAcrossGcAndReclaimsAfterRelease) {
   nvbm::Device dev(64 << 20, quiet_cfg());
   nvbm::Heap heap(dev);
   PmConfig pm;
-  pm.gc_on_persist = true;
   pm.dram_budget_bytes = 16 * sizeof(PNode);  // heavy NVBM traffic
   auto tree = PmOctree::create(heap, pm);
   tree.refine_where([](const LocCode& c, const CellData&) {
@@ -281,11 +281,32 @@ TEST(ServeSnapshot, PinKeepsNodesAcrossGcAndReclaimsAfterRelease) {
   EXPECT_EQ(tree.deferred_reclaim_nodes(), 0u);
 }
 
+/// Raw device bytes of every pointer-tier node of the version rooted at
+/// `root` (chains are immutable and skipped).
+std::map<std::uint64_t, std::vector<std::byte>> version_image(
+    nvbm::Device& dev, std::uint64_t root) {
+  std::map<std::uint64_t, std::vector<std::byte>> image;
+  std::vector<std::uint64_t> stack{root};
+  while (!stack.empty()) {
+    const std::uint64_t off = stack.back();
+    stack.pop_back();
+    const std::byte* raw = dev.raw(off, sizeof(PNode));
+    image[off].assign(raw, raw + sizeof(PNode));
+    PNode node;
+    std::memcpy(&node, raw, sizeof(PNode));
+    for (int i = 0; i < kChildrenPerNode; ++i) {
+      const auto c = node.child_ref(i);
+      if (c.in_nvbm()) stack.push_back(c.nvbm_offset());
+    }
+  }
+  return image;
+}
+
 TEST(ServeSnapshot, TombstoningDeferredWhilePinned) {
   nvbm::Device dev(64 << 20, quiet_cfg());
   nvbm::Heap heap(dev);
   PmConfig pm;
-  pm.gc_on_persist = false;  // deferred collection: marking pass active
+  pm.dram_budget_bytes = 0;  // the dropped subtrees are shared NVBM nodes
   auto tree = PmOctree::create(heap, pm);
   tree.refine_where([](const LocCode& c, const CellData&) {
     return c.level() < 2;
@@ -293,37 +314,42 @@ TEST(ServeSnapshot, TombstoningDeferredWhilePinned) {
   tree.persist();
 
   auto snap = tree.pin_snapshot();
+  const auto image = version_image(dev, snap.root_offset());
   LeafMap pinned_view;
   tree.for_each_leaf_snapshot(snap, [&](const LocCode& c, const CellData& d) {
     pinned_view[leaf_key(c)] = d.vof;
   });
 
-  // Drop shared subtrees while the pin is live: the marking pass must
-  // not touch a single pinned byte.
+  // Drop shared subtrees while the pin is live: neither the tombstone
+  // write nor the reclamation may touch a single pinned byte.
   tree.coarsen_where(
       [](const LocCode& c, const CellData&) { return c.level() >= 1; });
   const auto while_pinned = tree.persist();
-  EXPECT_EQ(while_pinned.tombstoned, 0u)
-      << "tombstone marking ran while an epoch was pinned";
+  EXPECT_EQ(while_pinned.gc_freed, 0u)
+      << "reclaimed an object the pinned epoch still reaches";
+  EXPECT_GT(tree.deferred_reclaim_nodes(), 0u);
+  EXPECT_EQ(version_image(dev, snap.root_offset()), image)
+      << "a pinned byte changed";
   LeafMap still;
   tree.for_each_leaf_snapshot(snap, [&](const LocCode& c, const CellData& d) {
     still[leaf_key(c)] = d.vof;
   });
   EXPECT_EQ(still, pinned_view);
 
-  // Release; the backlog drains at the next pin-free persist.
+  // Release; the backlog drains at the next persist.
+  const auto deferred = tree.deferred_reclaim_nodes();
   snap.release();
   tree.update(tree.leaf_containing(LocCode::root().child(0).child(0)),
               cell(0.125));
   const auto after_release = tree.persist();
-  EXPECT_GT(after_release.tombstoned, 0u);
+  EXPECT_GE(after_release.gc_freed, deferred);
+  EXPECT_EQ(tree.deferred_reclaim_nodes(), 0u);
 }
 
 TEST(ServeConcurrency, ReadersRaceMutatorWithByteStableResults) {
   nvbm::Device dev(std::size_t{128} << 20, quiet_cfg());
   nvbm::Heap heap(dev);
   PmConfig pm;
-  pm.gc_on_persist = true;
   pm.dram_budget_bytes = 32 * sizeof(PNode);
   auto tree = PmOctree::create(heap, pm);
   tree.refine_where([](const LocCode& c, const CellData&) {
@@ -419,7 +445,6 @@ TEST(ServeCrash, CrashMidPersistWithPinnedReadersRestoresCleanly) {
   nvbm::Device dev(64 << 20, crash_cfg());
   nvbm::Heap heap(dev);
   PmConfig pm;
-  pm.gc_on_persist = true;
   pm.dram_budget_bytes = 16 * sizeof(PNode);
   LeafMap persisted;
   {
