@@ -111,13 +111,12 @@ int main(int argc, char** argv) {
       require(*config, "simd", Value::Type::kNumber, &err) == nullptr) {
     return fail("config: " + err);
   }
-  // Persist-path knobs (dirty-subtree pruning on/off, merge thread cap):
-  // required so A/B comparisons between bench JSONs are always labeled.
+  // Persist-path knob (dirty-subtree pruning on/off): required so A/B
+  // comparisons between bench JSONs are always labeled.
   const Value* persist =
       require(*config, "persist", Value::Type::kObject, &err);
   if (persist == nullptr) return fail("config: " + err);
-  if (require(*persist, "pruning", Value::Type::kNumber, &err) == nullptr ||
-      require(*persist, "threads", Value::Type::kNumber, &err) == nullptr) {
+  if (require(*persist, "pruning", Value::Type::kNumber, &err) == nullptr) {
     return fail("config.persist: " + err);
   }
 

@@ -165,10 +165,6 @@ StepStats DropletWorkload::step(MeshBackend& mesh, int step_index,
   StepStats out;
   const auto& p = params_;
   const double t_new = (step_index + 1) * p.dt;
-  // Hand the pool to the backend too, so internal phases (the PM-octree's
-  // persist-time merge) can fan out under the same determinism contract.
-  mesh.set_exec(exec_);
-
   // 1. Advance the interface and velocity fields (advection proxy):
   // writes concentrate in and around the liquid — the moving hot region.
   // The post-advect (key, level, vof) triples are harvested on the way

@@ -318,10 +318,13 @@ void PmOctree::write_back_child(NodeRef ref, const PNode& node, int ci) {
 void PmOctree::write_back_children(NodeRef ref, const PNode& node) {
   touch_heat(node.code, 1.0);
   if (store_dram(ref, node)) return;
-  nv_store_partial(ref.nvbm_offset(), offsetof(PNode, child),
-                   sizeof(node.child), node);
-  nv_store_partial(ref.nvbm_offset(), offsetof(PNode, flags),
-                   sizeof(node.flags), node);
+  nv_store_children(ref.nvbm_offset(), node);
+}
+
+void PmOctree::nv_store_children(std::uint64_t offset, const PNode& node) {
+  nv_store_partial(offset, offsetof(PNode, child), sizeof(node.child), node);
+  // Child-slot changes move the presence mask in flags with them.
+  nv_store_partial(offset, offsetof(PNode, flags), sizeof(node.flags), node);
 }
 
 NodeRef PmOctree::alloc_node(const PNode& proto, bool prefer_dram) {
@@ -1130,182 +1133,34 @@ void PmOctree::census_add(SampleCensus& census, const LocCode& code,
   }
 }
 
-// Per-task merge context. Workers share NO mutable tree/device state:
-// node loads go straight to the device image (accounting accumulated
-// locally), node stores and frees are logged, twin allocations come from
-// a pre-carved arena, DRAM split slots from a pre-reserved list. The
-// coordinator replays every logged side effect in deterministic task
-// order (replay_task), which makes the modeled counters, the telemetry
-// deltas, and the persisted image identical for any thread count.
-struct PmOctree::MergeCtx {
-  PmOctree* tree = nullptr;
-
-  // Deferred device accounting.
-  std::uint64_t read_ops = 0, read_bytes = 0, read_lines = 0;
-  std::uint64_t write_ops = 0, write_bytes = 0, write_lines = 0;
-  std::uint64_t dram_reads = 0, dram_writes = 0;
-
-  // Deferred side effects, replayed by the coordinator.
-  struct StoreRec {
-    std::uint64_t obj;       ///< payload offset of the node object
-    std::uint32_t off, len;  ///< stored byte range within the node
-    PNode node;              ///< full (flag-stripped) content for the cache
-  };
-  std::vector<StoreRec> stores;
-  std::vector<std::uint64_t> frees;
-  std::vector<std::pair<const PNode*, std::uint64_t>> twin_inserts;
-  std::vector<FringeParent> fringe;
-
-  // Deferred stats / telemetry.
-  PersistStats stats;
-  std::size_t twin_reuse = 0;
-  std::size_t changed = 0;
-
-  // Allocation sources: pre-carved for workers; `direct` (the crown /
-  // coordinator context) allocates straight from the heap and DRAM pool.
-  nvbm::Heap::Arena arena;
-  bool has_arena = false;
-  std::vector<PNode*> dram_slots;
-  std::size_t next_dram_slot = 0;
-  bool direct = false;
-  /// Finished task results, consulted by the crown merge at task roots.
-  const std::unordered_map<std::uint64_t, MergeResult>* results = nullptr;
-
-  // Measure-pass output: exact allocation demand the carve satisfies.
-  std::size_t need_twins = 0;
-  std::size_t need_dram = 0;
-
-  PNode load(std::uint64_t off) {
-    PNode n;
-    std::memcpy(&n, tree->device().raw(off, sizeof(PNode)), sizeof(PNode));
-    ++read_ops;
-    read_bytes += sizeof(PNode);
-    read_lines += tree->device().lines_of(off, sizeof(PNode));
-    return n;
+void PmOctree::MergeCtx::log_fringe(std::uint64_t off, const PNode& node,
+                                    PNode* working, const MergeResult* res) {
+  std::uint8_t slots = 0;
+  for (int i = 0; i < kChildrenPerNode; ++i) {
+    const MergeResult& r = res[i];
+    if (r.pref.in_nvbm() && !r.changed && r.wref == r.pref)
+      slots |= static_cast<std::uint8_t>(1u << i);
   }
-  void store_range(std::uint64_t obj, std::size_t off, std::size_t len,
-                   const PNode& n) {
-    PNode clean = n;
-    clean.flags &= ~kNodeSubtreeDirty;
-    std::memcpy(tree->device().raw(obj + off, len),
-                reinterpret_cast<const std::byte*>(&clean) + off, len);
-    ++write_ops;
-    write_bytes += len;
-    write_lines += tree->device().lines_of(obj + off, len);
-    stores.push_back({obj, static_cast<std::uint32_t>(off),
-                      static_cast<std::uint32_t>(len), clean});
-  }
-  void store(std::uint64_t obj, const PNode& n) {
-    store_range(obj, 0, sizeof(PNode), n);
-  }
-  void store_children(std::uint64_t obj, const PNode& n) {
-    store_range(obj, offsetof(PNode, child), sizeof(n.child), n);
-    // Child-slot changes move the presence mask in flags with them.
-    store_range(obj, offsetof(PNode, flags), sizeof(n.flags), n);
-  }
-  std::uint64_t alloc_twin() {
-    if (direct) return tree->heap_.alloc(kNodeSize);
-    return arena.alloc();
-  }
-  PNode* take_dram_slot() {
-    if (direct) return tree->take_dram_slot();
-    PMO_DCHECK(next_dram_slot < dram_slots.size());
-    return dram_slots[next_dram_slot++];
-  }
-
-  /// Logs the fresh durable node `off`'s old (unchanged) NVBM children
-  /// that its working copy links too, i.e. that no C0 copy shadows.
-  void log_fringe(std::uint64_t off, const PNode& node, PNode* working,
-                  const MergeResult* res) {
-    std::uint8_t slots = 0;
-    for (int i = 0; i < kChildrenPerNode; ++i) {
-      const MergeResult& r = res[i];
-      if (r.pref.in_nvbm() && !r.changed && r.wref == r.pref)
-        slots |= static_cast<std::uint8_t>(1u << i);
-    }
-    if (slots != 0) fringe.push_back({off, node, working, slots});
-  }
-
-  struct MeasureR {
-    bool wd = false;       ///< the merge's working ref will be DRAM
-    bool changed = false;  ///< the merge will report this subtree changed
-  };
-  MeasureR measure(PmOctree& t, NodeRef ref);
-};
-
-struct PmOctree::MergeTask {
-  NodeRef root;
-  MergeCtx ctx;
-  MergeResult result;
-};
-
-// Mirrors persist_subtree's decisions exactly, counting the twin
-// allocations and DRAM split slots the merge will perform — so the carve
-// is exact and Arena::alloc never falls back to shared heap state. Reads
-// are charged here AND in the merge pass: the two-pass scheme honestly
-// pays for its measurement.
-PmOctree::MergeCtx::MeasureR PmOctree::MergeCtx::measure(PmOctree& t,
-                                                         NodeRef ref) {
-  if (ref.null()) return {};
-  if (ref.in_linear()) return {false, false};  // shared cold tier: final
-  if (ref.in_nvbm()) {
-    const PNode node = load(ref.nvbm_offset());
-    if (node.epoch != t.epoch_) return {false, false};
-    bool wd = false;
-    for (int i = 0; i < kChildrenPerNode; ++i)
-      wd |= measure(t, node.child_ref(i)).wd;
-    if (wd) {
-      ++need_twins;  // split: an NVBM twin object ...
-      ++need_dram;   // ... plus a DRAM working slot
-    }
-    return {wd, true};
-  }
-  ++dram_reads;
-  const PNode* ptr = ref.dram_ptr();
-  const bool clean =
-      ptr->epoch != t.epoch_ && (ptr->flags & kNodeSubtreeDirty) == 0;
-  if (t.config_.persist_pruning && clean &&
-      t.twins_.find(ptr) != t.twins_.end())
-    return {true, false};
-  const bool dirty = ptr->epoch == t.epoch_;
-  bool child_changed = false;
-  for (int i = 0; i < kChildrenPerNode; ++i)
-    child_changed |= measure(t, ptr->child_ref(i)).changed;
-  if (!dirty && !child_changed && t.twins_.find(ptr) != t.twins_.end())
-    return {true, false};
-  ++need_twins;
-  return {true, true};
+  if (slots != 0) fringe.push_back({off, node, working, slots});
 }
 
-bool PmOctree::merge_would_recurse(NodeRef ref) {
-  if (ref.null()) return false;
-  if (ref.in_linear()) return false;  // chains are durable and immutable
-  if (ref.in_nvbm()) {
-    const PNode node = device().load<PNode>(ref.nvbm_offset());
-    return node.epoch == epoch_;  // shared subtrees are final already
+void PmOctree::install_twin(const PNode* slot, std::uint64_t off) {
+  const auto [it, fresh] = twins_.try_emplace(slot, Twin{off, epoch_});
+  if (!fresh) {
+    retire(it->second.off, it->second.birth);
+    it->second = Twin{off, epoch_};
   }
-  charge_dram_read();
-  const PNode* ptr = ref.dram_ptr();
-  const bool clean =
-      ptr->epoch != epoch_ && (ptr->flags & kNodeSubtreeDirty) == 0;
-  return !(config_.persist_pruning && clean &&
-           twins_.find(ptr) != twins_.end());
 }
 
 PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
   if (ref.null()) return {ref, ref, false};
-  if (ctx.results != nullptr) {
-    if (const auto it = ctx.results->find(ref.bits());
-        it != ctx.results->end())
-      return it->second;
-  }
   // A linear record is part of V_{i-1}'s compacted image and is immutable:
   // it serves both versions as-is (mutations promote records out of the
   // chain before ever reaching the merge).
   if (ref.in_linear()) return {ref, ref, false};
   if (ref.in_nvbm()) {
     ++ctx.stats.visits;
-    PNode node = ctx.load(ref.nvbm_offset());
+    PNode node = device().load<PNode>(ref.nvbm_offset());
     if (node.epoch != epoch_) {
       // Shared with V_{i-1}. Invariant: a shared NVBM node never has DRAM
       // descendants (established by the split below at the persist that
@@ -1330,7 +1185,7 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
           relink = true;
         }
       }
-      if (relink) ctx.store_children(ref.nvbm_offset(), node);
+      if (relink) nv_store_children(ref.nvbm_offset(), node);
       ctx.log_fringe(ref.nvbm_offset(), node, nullptr, child_res);
       return {ref, ref, true};  // created this epoch: new vs V_{i-1}
     }
@@ -1344,20 +1199,20 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
       working.set_child(i, child_res[i].wref);
     }
     twin.set_parent(NodeRef{});
-    const std::uint64_t twin_off = ctx.alloc_twin();
-    ctx.store(twin_off, twin);
-    PNode* slot = ctx.take_dram_slot();
+    const std::uint64_t twin_off = heap_.alloc(kNodeSize);
+    nv_store(twin_off, twin);
+    PNode* slot = take_dram_slot();
     *slot = working;
-    ++ctx.dram_writes;
+    charge_dram_write();
     ctx.log_fringe(twin_off, twin, slot, child_res);
-    ctx.twin_inserts.emplace_back(slot, twin_off);
-    ctx.frees.push_back(ref.nvbm_offset());
+    install_twin(slot, twin_off);
+    ctx.splits.push_back(ref.nvbm_offset());
     ++ctx.stats.merged_from_dram;
     return {NodeRef::dram(slot), NodeRef::nvbm(twin_off), true};
   }
 
   // DRAM node.
-  ++ctx.dram_reads;
+  charge_dram_read();
   PNode* ptr = ref.dram_ptr();
   const bool clean =
       ptr->epoch != epoch_ && (ptr->flags & kNodeSubtreeDirty) == 0;
@@ -1389,153 +1244,25 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
       working_relink = true;
     }
   }
-  if (working_relink) ++ctx.dram_writes;
+  if (working_relink) charge_dram_write();
   // Visited: the summary bit has served its purpose for this epoch.
   ptr->flags &= ~kNodeSubtreeDirty;
   const auto twin_it = twins_.find(ptr);
   if (!dirty && !child_changed && twin_it != twins_.end()) {
-    ++ctx.twin_reuse;
+    tm_.twin_reuse->add();
     return {ref, NodeRef::nvbm(twin_it->second.off), false};  // reuse
   }
   // Write a fresh durable twin; the old one (if any) still belongs to
-  // V_{i-1} and is retired when the replay installs the new one.
+  // V_{i-1} and is retired.
   twin_content.epoch = epoch_;
   twin_content.set_parent(NodeRef{});  // advisory; fixed by the parent
-  const std::uint64_t off = ctx.alloc_twin();
-  ctx.store(off, twin_content);
+  const std::uint64_t off = heap_.alloc(kNodeSize);
+  nv_store(off, twin_content);
   ctx.log_fringe(off, twin_content, ptr, child_res);
-  ctx.twin_inserts.emplace_back(ptr, off);
+  install_twin(ptr, off);
   ++ctx.stats.merged_from_dram;
   ++ctx.changed;
   return {ref, NodeRef::nvbm(off), true};
-}
-
-void PmOctree::replay_task(MergeTask& task, PersistStats& stats,
-                           std::size_t& changed,
-                           std::vector<FringeParent>& fringe) {
-  MergeCtx& c = task.ctx;
-  device().account_reads(c.read_ops, c.read_bytes, c.read_lines);
-  device().account_writes(c.write_ops, c.write_bytes, c.write_lines);
-  for (const auto& s : c.stores) {
-    device().mark_written(s.obj + s.off, s.len);
-    cache_.update(s.obj, s.node, epoch_);
-    note_links(s.obj, s.node);
-  }
-  for (const auto off : c.frees) nv_free(off);
-  for (const auto& [slot, off] : c.twin_inserts) {
-    const auto [it, fresh] = twins_.try_emplace(slot, Twin{off, epoch_});
-    if (!fresh) {
-      retire(it->second.off, it->second.birth);
-      it->second = Twin{off, epoch_};
-    }
-  }
-  fringe.insert(fringe.end(), c.fringe.begin(), c.fringe.end());
-  charge_dram_read(c.dram_reads);
-  charge_dram_write(c.dram_writes);
-  stats.visits += c.stats.visits;
-  stats.pruned_subtrees += c.stats.pruned_subtrees;
-  stats.merged_from_dram += c.stats.merged_from_dram;
-  tm_.twin_reuse->add(c.twin_reuse);
-  changed += c.changed;
-  if (c.has_arena) {
-    PMO_DCHECK(c.arena.remaining() == 0);  // the measure pass is exact
-    heap_.release_arena(c.arena);
-    c.has_arena = false;
-  }
-}
-
-PmOctree::MergeResult PmOctree::run_merge(
-    PersistStats& stats, std::size_t& changed,
-    std::vector<FringeParent>& fringe) {
-  // Crown pre-walk (levels 0-1, sequential): the merge tasks are the
-  // non-null level-2 subtrees the merge will actually reach. Partitioning
-  // at the grandchildren yields up to 64 independent tasks over disjoint
-  // SFC key ranges (the Cornerstone-style decomposition).
-  std::vector<MergeTask> tasks;
-  if (merge_would_recurse(cur_root_)) {
-    auto peek = [&](NodeRef r) {
-      if (r.in_dram()) {
-        charge_dram_read();
-        return *r.dram_ptr();
-      }
-      return device().load<PNode>(r.nvbm_offset());
-    };
-    const PNode root_node = peek(cur_root_);
-    for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c1 = root_node.child_ref(i);
-      if (c1.null() || !merge_would_recurse(c1)) continue;
-      const PNode mid = peek(c1);
-      for (int j = 0; j < kChildrenPerNode; ++j) {
-        const NodeRef c2 = mid.child_ref(j);
-        if (!c2.null()) {
-          MergeTask t;
-          t.root = c2;
-          t.ctx.tree = this;
-          tasks.push_back(std::move(t));
-        }
-      }
-    }
-  }
-
-  // The same measure/carve/merge/replay pipeline runs at every thread
-  // count (including 1) — only the executor differs — so the heap layout
-  // and every counter are a pure function of the tree, never of
-  // scheduling. persist() reached from inside a pool task (cluster
-  // lanes) falls back to the inline executor instead of nesting.
-  const int want = config_.persist_threads;
-  const bool use_pool = pool_ != nullptr && pool_->size() > 1 &&
-                        (want == 0 || want > 1) &&
-                        !exec::in_parallel_task() && tasks.size() > 1;
-  auto run_tasks = [&](const std::function<void(std::size_t)>& fn) {
-    if (use_pool) {
-      pool_->parallel_for(tasks.size(), fn);
-    } else {
-      for (std::size_t i = 0; i < tasks.size(); ++i) fn(i);
-    }
-  };
-
-  // Measure (read-only, parallel): exact twin/split demand per task.
-  run_tasks([&](std::size_t i) { tasks[i].ctx.measure(*this, tasks[i].root); });
-
-  // Carve per-task allocation sources (sequential): the NVBM layout and
-  // DRAM slot assignment become a pure function of task order.
-  for (auto& t : tasks) {
-    MergeCtx& c = t.ctx;
-    if (c.need_twins > 0) {
-      c.arena = heap_.carve_arena(kNodeSize, c.need_twins);
-      c.has_arena = true;
-    }
-    c.dram_slots.reserve(c.need_dram);
-    for (std::size_t k = 0; k < c.need_dram; ++k)
-      c.dram_slots.push_back(take_dram_slot());
-  }
-
-  // Merge (parallel): a worker touches only task-local state, its own
-  // disjoint subtree's DRAM nodes, and fresh arena-owned NVBM objects.
-  run_tasks([&](std::size_t i) {
-    tasks[i].result = persist_subtree(tasks[i].root, tasks[i].ctx);
-  });
-
-  // Deterministic reduction: replay deferred side effects in task order.
-  std::unordered_map<std::uint64_t, MergeResult> results;
-  results.reserve(tasks.size());
-  for (auto& t : tasks) {
-    replay_task(t, stats, changed, fringe);
-    results.emplace(t.root.bits(), t.result);
-  }
-
-  // Crown merge (sequential): levels 0-1 plus anything the pre-walk ruled
-  // out of the task set; task roots resolve through the results map. The
-  // root path-copy stays on this thread, so the crash-consistency
-  // argument (V_{i-1} untouched until the root swap) is unchanged.
-  MergeTask crown;
-  crown.root = cur_root_;
-  crown.ctx.tree = this;
-  crown.ctx.direct = true;
-  crown.ctx.results = &results;
-  crown.result = persist_subtree(cur_root_, crown.ctx);
-  replay_task(crown, stats, changed, fringe);
-  return crown.result;
 }
 
 void PmOctree::collect_census(NodeRef root, SampleCensus& census) {
@@ -1608,9 +1335,9 @@ bool PmOctree::compactable_subtree(
 
 void PmOctree::compact_clean_subtrees(std::vector<FringeParent>& fringe,
                                       PersistStats& stats) {
-  // Runs on the coordinator between the merge and flush_all: chain pages
-  // and relinked parents land in the crash-sim write buffer ahead of the
-  // root swap, and the *old* durable root never references a chain. A
+  // Runs between the merge and flush_all: chain pages and relinked
+  // parents land in the crash-sim write buffer ahead of the root swap,
+  // and the *old* durable root never references a chain. A
   // crash mid-compaction therefore recovers to a fully pointer-tier
   // image, a crash after the swap to a fully compacted one — a torn
   // chain is unreachable either way. Visiting the merge's fringe log in
@@ -1683,32 +1410,39 @@ PersistStats PmOctree::persist() {
   //    only the dirty fringe, so the octant total comes from the
   //    incrementally maintained logical count, not from the walk.
   stats.nodes_total = logical_nodes_;
-  std::size_t changed = 0;
-  MergeResult res;
-  std::vector<FringeParent> fringe;
+  MergeCtx ctx{stats, 0, {}, {}};
+  NodeRef new_prev;
   {
-    telemetry::Span merge_span("merge");  // pmoctree.persist.merge
-    res = run_merge(stats, changed, fringe);
-  }
-  const NodeRef new_prev = res.pref;
-  cur_root_ = res.wref;  // NVBM-above-DRAM nodes may have joined C0
-  PMO_CHECK(new_prev.in_nvbm());
-  stats.nodes_shared =
-      stats.nodes_total - std::min(changed, stats.nodes_total);
-  stats.overlap_ratio =
-      stats.nodes_total == 0
-          ? 0.0
-          : static_cast<double>(stats.nodes_shared) /
-                static_cast<double>(stats.nodes_total);
-  stats.delta_bytes = changed * kNodeSize;
+    // The merge's and the compaction's bump allocations advance the
+    // durable high-water mark once, when this scope closes — before
+    // flush_all() and the root swap, so no durable root ever reaches an
+    // object above the durable mark (DESIGN.md §9).
+    nvbm::Heap::DeferHighWater defer_hw(heap_);
+    {
+      telemetry::Span merge_span("merge");  // pmoctree.persist.merge
+      const MergeResult res = persist_subtree(cur_root_, ctx);
+      for (const std::uint64_t off : ctx.splits) nv_free(off);
+      new_prev = res.pref;
+      cur_root_ = res.wref;  // NVBM-above-DRAM nodes may have joined C0
+    }
+    PMO_CHECK(new_prev.in_nvbm());
+    stats.nodes_shared =
+        stats.nodes_total - std::min(ctx.changed, stats.nodes_total);
+    stats.overlap_ratio =
+        stats.nodes_total == 0
+            ? 0.0
+            : static_cast<double>(stats.nodes_shared) /
+                  static_cast<double>(stats.nodes_total);
+    stats.delta_bytes = ctx.changed * kNodeSize;
 
-  // 1b. Compaction (DESIGN.md §11): rewrite maximal persisted-and-clean
-  //     pointer subtrees hanging off the fresh fringe as packed linear
-  //     chains. Still pre-flush — the chains become durable (and the
-  //     relinks visible) only through the same root swap as the merge.
-  if (config_.linear_compaction) {
-    telemetry::Span compact_span("compact");  // pmoctree.persist.compact
-    compact_clean_subtrees(fringe, stats);
+    // 1b. Compaction (DESIGN.md §11): rewrite maximal persisted-and-clean
+    //     pointer subtrees hanging off the fresh fringe as packed linear
+    //     chains. Still pre-flush — the chains become durable (and the
+    //     relinks visible) only through the same root swap as the merge.
+    if (config_.linear_compaction) {
+      telemetry::Span compact_span("compact");  // pmoctree.persist.compact
+      compact_clean_subtrees(ctx.fringe, stats);
+    }
   }
   // Crash-injection hook: die here, with the merge's and compaction's
   // writes unflushed and the durable root still pointing at V_{i-1}.

@@ -36,10 +36,6 @@
 #include "pmoctree/snapshot.hpp"
 #include "telemetry/telemetry.hpp"
 
-namespace pmo::exec {
-class ThreadPool;
-}
-
 namespace pmo::pmoctree {
 
 /// Application feature function (§3.3): returns true when the octant's
@@ -256,14 +252,6 @@ class PmOctree {
     return registry_->published().epoch;
   }
 
-  /// Attaches (or detaches, with nullptr) an exec pool for the persist
-  /// merge. The pool is borrowed, never owned; thread count changes
-  /// wall-clock only (see the determinism contract in exec/pool.hpp) —
-  /// modeled counters and the persisted image are bit-identical with and
-  /// without a pool. When persist() is reached from inside a pool task
-  /// (cluster lanes), the merge falls back to inline execution.
-  void set_exec(exec::ThreadPool* pool) noexcept { pool_ = pool; }
-
   /// pm_delete: frees all octants in both tiers and clears the roots.
   void destroy();
 
@@ -388,6 +376,9 @@ class PmOctree {
   /// The cache stays coherent via a full-node update.
   void nv_store_partial(std::uint64_t offset, std::size_t field_off,
                         std::size_t len, const PNode& full);
+  /// Partial store of the children array and the flags word (the child
+  /// presence mask); no heat.
+  void nv_store_children(std::uint64_t offset, const PNode& node);
 
   // placement --------------------------------------------------------------
   LocCode subtree_id(const LocCode& code) const;
@@ -470,28 +461,27 @@ class PmOctree {
     PNode* working;         ///< its C0 working copy, or nullptr
     std::uint8_t slots;     ///< candidate child slots
   };
-  /// Per-task merge context (defined in pm_octree.cpp): routes a merge
-  /// task's node loads/stores, twin allocations, frees, DRAM bookkeeping
-  /// and stats through task-local buffers so parallel workers share no
-  /// mutable tree/device state; the coordinator replays every logged side
-  /// effect in deterministic task order.
-  struct MergeCtx;
-  /// One level-2 merge task: its subtree root plus the pre-merge
-  /// measurement (exact twin/split/alloc counts) and the deferred logs.
-  struct MergeTask;
+  /// Bookkeeping of one merge walk.
+  struct MergeCtx {
+    PersistStats& stats;
+    std::size_t changed = 0;  ///< octants new vs V_{i-1}
+    std::vector<FringeParent> fringe;  ///< compaction candidates
+    /// Split NVBM nodes: freed after the walk, so the walk's allocations
+    /// never reuse them.
+    std::vector<std::uint64_t> splits;
+
+    /// Logs the fresh durable node `off`'s old (unchanged) NVBM children
+    /// that its working copy links too, i.e. that no C0 copy shadows.
+    void log_fringe(std::uint64_t off, const PNode& node, PNode* working,
+                    const MergeResult* res);
+  };
+  /// The sequential path-copying merge from `ref` (persist step 1).
+  /// NVBM loads are raw device loads: the merge neither reads nor warms
+  /// the node cache.
   MergeResult persist_subtree(NodeRef ref, MergeCtx& ctx);
-  /// The whole merge pipeline: crown pre-walk -> parallel measure ->
-  /// arena carve -> parallel merge -> deterministic replay -> sequential
-  /// crown merge. Returns the root MergeResult; appends the fringe logs
-  /// in task order.
-  MergeResult run_merge(PersistStats& stats, std::size_t& changed,
-                        std::vector<FringeParent>& fringe);
-  /// Mirrors persist_subtree's "will this visit recurse?" decision for
-  /// the crown pre-walk (levels 0-1).
-  bool merge_would_recurse(NodeRef ref);
-  /// Applies one finished task's deferred side effects (coordinator).
-  void replay_task(MergeTask& task, PersistStats& stats,
-                   std::size_t& changed, std::vector<FringeParent>& fringe);
+  /// Records `off` as the durable twin of DRAM octant `slot`, retiring
+  /// the twin it replaces.
+  void install_twin(const PNode* slot, std::uint64_t off);
   /// Stamps kNodeSubtreeDirty on the DRAM prefix of path[0..i] (the
   /// mutation's ancestor chain). NVBM entries are skipped: a shared NVBM
   /// ancestor gets CoW-copied (fresh epoch) before any descendant
@@ -658,8 +648,6 @@ class PmOctree {
   /// This is what PersistStats::nodes_total reports — the merge no longer
   /// traverses the whole tree, so it cannot count.
   std::size_t logical_nodes_ = 0;
-  /// Borrowed exec pool for the persist merge; nullptr = inline.
-  exec::ThreadPool* pool_ = nullptr;
 
   std::vector<FeatureFn> features_;
   /// Access heat per subtree id (decayed at each persist).

@@ -192,39 +192,27 @@ TEST(Determinism, GatherBitIdenticalAcrossThreadsAndSimd) {
 
 // ---------------------------------------------------------------------------
 // Persist-path determinism (DESIGN.md §9): the persisted NVBM image is a
-// pure function of the logical tree — bit-identical across the merge
-// thread count AND across the dirty-subtree pruning knob. Thread count
-// additionally may not move any modeled counter; pruning legitimately
-// moves the persist visit/read counters (that is its purpose), so only
-// the image is compared across that knob.
+// pure function of the logical tree — bit-identical across the
+// dirty-subtree pruning knob. Pruning legitimately moves the persist
+// visit/read counters (that is its purpose), so only the image is
+// compared across that knob.
 // ---------------------------------------------------------------------------
 
 struct TreeRunOutput {
-  std::vector<std::byte> image;          ///< full NVBM byte image
-  std::uint64_t dram_reads = 0, dram_writes = 0, dram_ns = 0;
-  std::uint64_t dev_reads = 0, dev_writes = 0;
-  std::uint64_t dev_lines_read = 0, dev_lines_written = 0;
-  std::uint64_t dev_flush_spans = 0, dev_modeled_ns = 0;
+  std::vector<std::byte> image;  ///< full NVBM byte image
   std::vector<pmoctree::PersistStats> persists;
 };
 
-TreeRunOutput run_tree(bool pruning, int threads, bool all_nvbm = false) {
+TreeRunOutput run_tree(bool pruning) {
   nvbm::Device dev(std::size_t{64} << 20, bench::device_config());
   nvbm::Heap heap(dev);
   pmoctree::PmConfig pm;
   pm.persist_pruning = pruning;
-  // all_nvbm evicts the whole working set to NVBM — the cold regime where
-  // persist-time compaction rewrites clean subtrees as linear chains, so
-  // the image compare covers packed pages and relinked parents too.
-  pm.dram_budget_bytes = all_nvbm ? 0 : std::size_t{32} << 20;
-  if (all_nvbm) pm.compact_min_records = 8;
-  exec::ThreadPool pool(threads);
+  pm.dram_budget_bytes = std::size_t{32} << 20;
   auto tree = pmoctree::PmOctree::create(heap, pm);
-  tree.set_exec(&pool);
 
   TreeRunOutput out;
-  // Uniform level 3: 64 level-2 subtrees, so the parallel merge has a
-  // full task fan-out to schedule differently at threads=8.
+  // Uniform level 3: 512 leaves under 64 level-2 subtrees.
   for (int l = 0; l < 3; ++l)
     tree.refine_where([](const LocCode&, const CellData&) { return true; });
   out.persists.push_back(tree.persist());
@@ -249,88 +237,15 @@ TreeRunOutput run_tree(bool pruning, int threads, bool all_nvbm = false) {
     }
     out.persists.push_back(tree.persist());
   }
-  if (all_nvbm) {
-    // Quiesce with pinpoint updates: each persist freshens one root-leaf
-    // path, exposing its old clean siblings to the compactor. Spread the
-    // touches so the bulk of the tree ends up in chains.
-    for (int r = 0; r < 4; ++r) {
-      CellData d;
-      d.vof = 0.75 + 0.01 * r;
-      tree.update(LocCode::from_grid(3, static_cast<std::uint32_t>(r * 2),
-                                     static_cast<std::uint32_t>(r * 2), 3),
-                  d);
-      out.persists.push_back(tree.persist());
-    }
-  }
 
   const std::byte* bytes = dev.raw(0, dev.capacity());
   out.image.assign(bytes, bytes + dev.capacity());
-  const auto& dc = tree.dram_counters();
-  out.dram_reads = dc.reads;
-  out.dram_writes = dc.writes;
-  out.dram_ns = dc.modeled_ns();
-  const auto& c = dev.counters();
-  out.dev_reads = c.reads;
-  out.dev_writes = c.writes;
-  out.dev_lines_read = c.lines_read;
-  out.dev_lines_written = c.lines_written;
-  out.dev_flush_spans = c.flush_spans;
-  out.dev_modeled_ns = c.modeled_ns();
   return out;
 }
 
-void expect_same_stats(const TreeRunOutput& a, const TreeRunOutput& b) {
-  ASSERT_EQ(a.persists.size(), b.persists.size());
-  for (std::size_t i = 0; i < a.persists.size(); ++i) {
-    EXPECT_EQ(a.persists[i].visits, b.persists[i].visits) << "persist " << i;
-    EXPECT_EQ(a.persists[i].pruned_subtrees, b.persists[i].pruned_subtrees)
-        << "persist " << i;
-    EXPECT_EQ(a.persists[i].merged_from_dram, b.persists[i].merged_from_dram)
-        << "persist " << i;
-    EXPECT_EQ(a.persists[i].nodes_total, b.persists[i].nodes_total)
-        << "persist " << i;
-    EXPECT_EQ(a.persists[i].compacted_subtrees, b.persists[i].compacted_subtrees)
-        << "persist " << i;
-    EXPECT_EQ(a.persists[i].compacted_records, b.persists[i].compacted_records)
-        << "persist " << i;
-  }
-  EXPECT_EQ(a.dram_reads, b.dram_reads);
-  EXPECT_EQ(a.dram_writes, b.dram_writes);
-  EXPECT_EQ(a.dram_ns, b.dram_ns);
-  EXPECT_EQ(a.dev_reads, b.dev_reads);
-  EXPECT_EQ(a.dev_writes, b.dev_writes);
-  EXPECT_EQ(a.dev_lines_read, b.dev_lines_read);
-  EXPECT_EQ(a.dev_lines_written, b.dev_lines_written);
-  EXPECT_EQ(a.dev_flush_spans, b.dev_flush_spans);
-  EXPECT_EQ(a.dev_modeled_ns, b.dev_modeled_ns);
-}
-
-TEST(Determinism, PersistedImageBitIdenticalAcrossMergeThreads) {
-  const auto t1 = run_tree(/*pruning=*/true, /*threads=*/1);
-  const auto t8 = run_tree(/*pruning=*/true, /*threads=*/8);
-  // Full contract across thread count: image AND every modeled counter.
-  expect_same_stats(t1, t8);
-  EXPECT_TRUE(t1.image == t8.image) << "NVBM image diverged across threads";
-}
-
-TEST(Determinism, CompactedImageBitIdenticalAcrossMergeThreads) {
-  // Same contract as above, in the all-NVBM regime where persist-time
-  // compaction engages: the packed chain pages, the relinked parents and
-  // every modeled counter must not depend on the merge's thread count.
-  const auto t1 = run_tree(/*pruning=*/true, /*threads=*/1, /*all_nvbm=*/true);
-  const auto t8 = run_tree(/*pruning=*/true, /*threads=*/8, /*all_nvbm=*/true);
-  // Compaction must actually have run, or this test proves nothing.
-  std::size_t compacted = 0;
-  for (const auto& s : t1.persists) compacted += s.compacted_subtrees;
-  EXPECT_GT(compacted, 0u);
-  expect_same_stats(t1, t8);
-  EXPECT_TRUE(t1.image == t8.image)
-      << "compacted NVBM image diverged across threads";
-}
-
 TEST(Determinism, PersistedImageBitIdenticalAcrossPruning) {
-  const auto on = run_tree(/*pruning=*/true, /*threads=*/8);
-  const auto off = run_tree(/*pruning=*/false, /*threads=*/8);
+  const auto on = run_tree(/*pruning=*/true);
+  const auto off = run_tree(/*pruning=*/false);
   // Pruning must have engaged (otherwise this test proves nothing) ...
   std::size_t pruned_on = 0, pruned_off = 0;
   for (const auto& s : on.persists) pruned_on += s.pruned_subtrees;

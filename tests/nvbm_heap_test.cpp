@@ -148,6 +148,62 @@ TEST(Heap, UnflushedPayloadLostButAllocatorConsistentAfterCrash) {
   EXPECT_EQ(dev.load<std::uint64_t>(off), 0u);
 }
 
+TEST(Heap, DeferHighWaterWritesTheDurableMarkOnceOnExit) {
+  Config c = cfg();
+  c.crash_sim = true;
+  Device dev(1 << 20, c);
+  Heap heap(dev);
+  std::vector<std::uint64_t> offs;
+  const auto barriers = dev.counters().barriers;
+  {
+    Heap::DeferHighWater defer(heap);
+    for (int i = 0; i < 8; ++i) offs.push_back(heap.alloc(64));
+    EXPECT_EQ(dev.counters().barriers, barriers);  // volatile mark only
+  }
+  EXPECT_EQ(dev.counters().barriers, barriers + 1);
+  Rng rng(5);
+  dev.simulate_crash(rng, 0.0);
+  Heap heap2(dev);
+  for (const auto off : offs) EXPECT_TRUE(heap2.is_allocated(off));
+}
+
+TEST(Heap, CrashInsideDeferHighWaterTruncatesItsAllocations) {
+  Config c = cfg();
+  c.crash_sim = true;
+  Device dev(1 << 20, c);
+  Heap heap(dev);
+  const auto kept = heap.alloc(64);
+  Heap::DeferHighWater defer(heap);
+  const auto lost = heap.alloc(64);
+  Rng rng(6);
+  dev.simulate_crash(rng, 1.0);  // every dirty line reaches the medium
+  // The durable mark was never stored, so attach() drops the allocation
+  // made inside the open scope and hands its space out again.
+  Heap heap2(dev);
+  EXPECT_TRUE(heap2.is_allocated(kept));
+  EXPECT_FALSE(heap2.is_allocated(lost));
+  EXPECT_EQ(heap2.alloc(64), lost);
+}
+
+TEST(Heap, DeferHighWaterClosesOnException) {
+  Config c = cfg();
+  c.crash_sim = true;
+  Device dev(1 << 20, c);
+  Heap heap(dev);
+  std::vector<std::uint64_t> offs;
+  EXPECT_THROW(
+      {
+        Heap::DeferHighWater defer(heap);
+        for (;;) offs.push_back(heap.alloc(4096));
+      },
+      OutOfSpaceError);
+  ASSERT_FALSE(offs.empty());
+  Rng rng(7);
+  dev.simulate_crash(rng, 0.0);
+  Heap heap2(dev);
+  for (const auto off : offs) EXPECT_TRUE(heap2.is_allocated(off));
+}
+
 TEST(Heap, ForEachObjectVisitsAll) {
   Device dev(1 << 20, cfg());
   Heap heap(dev);

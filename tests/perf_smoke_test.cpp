@@ -387,5 +387,31 @@ TEST(PerfSmoke, OneLeafUpdatePersistFreesThePathAndLoadsNoHeapHeader) {
             reads * sizeof(pmoctree::PNode));
 }
 
+TEST(PerfSmoke, PersistLoadsEachVisitedNvbmNodeOnce) {
+  // The merge is one walk: it loads each NVBM node it visits exactly
+  // once, and nothing else in this persist reads the device (no
+  // compaction, no transformation, a header-free retire-list drain). Any
+  // second pass over the dirty fringe — e.g. one sizing allocations ahead
+  // of the merge — would show up as extra reads.
+  nvbm::Device dev(std::size_t{64} << 20, {});
+  nvbm::Heap heap(dev);
+  pmoctree::PmConfig pm;
+  pm.dram_budget_bytes = 0;       // every visit is an NVBM node
+  pm.linear_compaction = false;
+  pm.enable_transform = false;
+  auto tree = pmoctree::PmOctree::create(heap, pm);
+  for (int l = 0; l < 4; ++l)
+    tree.refine_where([](const LocCode&, const CellData&) { return true; });
+  tree.persist();
+  CellData d;
+  d.vof = 0.25;
+  for (const std::uint32_t x : {1u, 6u, 11u})
+    tree.update(LocCode::from_grid(4, x, 15 - x, x / 2), d);
+  const auto before = dev.counters().reads;
+  const auto stats = tree.persist();
+  EXPECT_GT(stats.visits, 3u * 4u);
+  EXPECT_EQ(dev.counters().reads - before, stats.visits);
+}
+
 }  // namespace
 }  // namespace pmo

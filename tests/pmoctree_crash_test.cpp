@@ -13,8 +13,8 @@
 #include <set>
 #include <vector>
 
-#include "exec/pool.hpp"
 #include "pmoctree/pm_octree.hpp"
+#include "reach_oracle.hpp"
 
 namespace pmo::pmoctree {
 namespace {
@@ -193,37 +193,42 @@ TEST_P(CrashInjection, HotNodeCacheNeverChangesWhatACrashLoses) {
   EXPECT_EQ(on.second, on.first) << "seed " << seed;
 }
 
-TEST_P(CrashInjection, ParallelMergeKeepsCrashConsistency) {
-  // The parallel merge hands each level-2 subtree to a worker, but all
-  // device stores happen in the coordinator's deterministic replay — so
-  // the dirty-line set a crash can consume must be exactly the same as
-  // with a sequential merge, and recovery must still be nothing but the
-  // root-address swap. Crash after a persist that actually ran the
-  // thread-pool path and verify restore yields that persisted version.
+TEST_P(CrashInjection, CrashInHighWaterWindowRestoresAndReclaims) {
+  // persist() makes the heap's high-water mark durable once, after the
+  // merge's last bump allocation and before flush_all() and the root
+  // swap. Two persists grow the heap through bump allocations; a third
+  // dies before its flush; the crash drops a random share of its lines.
+  // Restore must yield the second persist's leaves (its objects lie below
+  // the durable mark), and the next persist must leave allocated exactly
+  // the objects reachable from V_{i-1} and V_i (the third persist's
+  // objects are orphans for the recovery collector).
   const int seed = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) * 50021 + 3);
 
   nvbm::Device dev(64 << 20, crash_cfg());
   nvbm::Heap heap(dev);
   PmConfig pm;
-  pm.dram_budget_bytes = 64 * sizeof(PNode);
+  // C0 holds the whole tree, so mutations allocate only DRAM: the
+  // persists' twins are the only NVBM allocations, and only persist
+  // advances the durable high-water mark.
+  pm.dram_budget_bytes = std::size_t{16} << 20;
 
-  exec::ThreadPool pool(8);
   LeafMap persisted;
   {
     auto tree = PmOctree::create(heap, pm);
-    tree.set_exec(&pool);
-    // Deep uniform start so the merge has many level-2 subtree tasks to
-    // fan out across the pool.
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 2; ++i) {
       tree.refine_where([](const LocCode&, const CellData&) { return true; });
     }
-    mutate_randomly(tree, rng, 15);
-    tree.persist();  // parallel merge
-    mutate_randomly(tree, rng, 12);
-    tree.persist();  // parallel incremental merge (pruning active)
+    for (int p = 0; p < 2; ++p) {
+      mutate_randomly(tree, rng, 12);
+      const auto before = heap.stats().high_water;
+      tree.persist();
+      ASSERT_GT(heap.stats().high_water, before) << "persist " << p;
+    }
     persisted = leaves_of(tree);
-    mutate_randomly(tree, rng, 12);  // in-flight work the crash may eat
+    mutate_randomly(tree, rng, 12);
+    tree.set_crash_before_flush_for_test(true);
+    tree.persist();
   }
   const auto survive_p = rng.uniform();
   dev.simulate_crash(rng, survive_p);
@@ -232,6 +237,13 @@ TEST_P(CrashInjection, ParallelMergeKeepsCrashConsistency) {
   ASSERT_TRUE(PmOctree::can_restore(heap2));
   auto back = PmOctree::restore(heap2, pm);
   EXPECT_EQ(leaves_of(back), persisted)
+      << "seed " << seed << " survive_p " << survive_p;
+  mutate_randomly(back, rng, 6);
+  back.persist();
+  OffSet live, chains;
+  reach(dev, back.previous_root(), live, chains);
+  reach(dev, back.current_root(), live, chains);
+  EXPECT_EQ(allocated(heap2), live)
       << "seed " << seed << " survive_p " << survive_p;
 }
 

@@ -14,69 +14,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
-#include <iterator>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "amr/droplet.hpp"
 #include "amr/pm_backend.hpp"
 #include "pmoctree/pm_octree.hpp"
+#include "reach_oracle.hpp"
 
 namespace pmo::pmoctree {
 namespace {
-
-using OffSet = std::set<std::uint64_t>;
 
 nvbm::Config crash_cfg() {
   nvbm::Config c;
   c.latency_mode = nvbm::LatencyMode::kNone;
   c.crash_sim = true;
   return c;
-}
-
-/// Heap objects reachable from `root`: pointer-tier nodes by offset, a
-/// linear chain as its one heap object (also recorded in `chains`). Reads
-/// raw device bytes, so the walk charges nothing and leaves every cache
-/// untouched.
-void reach(nvbm::Device& dev, NodeRef root, OffSet& out, OffSet& chains) {
-  std::vector<NodeRef> stack{root};
-  while (!stack.empty()) {
-    const NodeRef ref = stack.back();
-    stack.pop_back();
-    if (ref.null()) continue;
-    if (ref.in_linear()) {
-      out.insert(ref.linear_chain());
-      chains.insert(ref.linear_chain());
-      continue;
-    }
-    PNode node;
-    if (ref.in_dram()) {
-      node = *ref.dram_ptr();
-    } else {
-      if (!out.insert(ref.nvbm_offset()).second) continue;
-      std::memcpy(&node, dev.raw(ref.nvbm_offset(), sizeof(PNode)),
-                  sizeof(PNode));
-    }
-    for (int i = 0; i < kChildrenPerNode; ++i)
-      stack.push_back(node.child_ref(i));
-  }
-}
-
-OffSet allocated(nvbm::Heap& heap) {
-  OffSet out;
-  heap.for_each_object([&](std::uint64_t off, std::uint32_t, bool alloc) {
-    if (alloc) out.insert(off);
-  });
-  return out;
-}
-
-OffSet minus(const OffSet& a, const OffSet& b) {
-  OffSet out;
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::inserter(out, out.end()));
-  return out;
 }
 
 /// The oracle check after a persist.
