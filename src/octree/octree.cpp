@@ -4,6 +4,8 @@
 #include <cstring>
 #include <deque>
 
+#include "octree/balance.hpp"
+
 namespace pmo::octree {
 
 Octree::Octree() { root_ = allocate(LocCode::root(), nullptr); }
@@ -212,38 +214,11 @@ Node* Octree::neighbor(Node* leaf, int dx, int dy, int dz) noexcept {
 }
 
 std::size_t Octree::balance() {
-  // Ripple refinement driven from the fine side: for every leaf b, its
-  // same-level neighbor code in each of the 26 directions is contained in
-  // exactly the leaf adjacent to b there; if that leaf is more than one
-  // level coarser it must be split. Repeat to a fixed point (splits can
-  // create new violations one level up — the classic ripple).
-  std::size_t total_refined = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::vector<Node*> to_split;
-    for_each_leaf([&](Node& leaf) {
-      for (const auto& d : LocCode::neighbor_directions()) {
-        LocCode ncode;
-        if (!leaf.code.neighbor(d[0], d[1], d[2], ncode)) continue;
-        Node* adj = find_leaf_containing(ncode);
-        if (adj->code.level() < leaf.code.level() - 1) to_split.push_back(adj);
-      }
-    });
-    if (!to_split.empty()) {
-      std::sort(to_split.begin(), to_split.end());
-      to_split.erase(std::unique(to_split.begin(), to_split.end()),
-                     to_split.end());
-      for (auto* coarse : to_split) {
-        if (coarse->is_leaf()) {
-          refine(coarse);
-          ++total_refined;
-          changed = true;
-        }
-      }
-    }
-  }
-  return total_refined;
+  // No change log: every leaf seeds the ripple kernel.
+  std::vector<LocCode> leaves;
+  for_each_leaf([&](const Node& n) { leaves.push_back(n.code); });
+  return ripple_balance(leaves, leaves, {},
+                        [&](const LocCode& code) { refine(find(code)); });
 }
 
 bool Octree::is_balanced() const {

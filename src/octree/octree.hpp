@@ -103,8 +103,8 @@ class Octree {
   std::size_t coarsen_where(const std::function<bool(const Node&)>& pred);
 
   /// Enforces the 2:1 constraint: any two face/edge/corner-adjacent leaves
-  /// differ by at most one level. Implemented as ripple refinement.
-  /// Returns the number of leaves refined to restore balance.
+  /// differ by at most one level, via ripple_balance() seeded with every
+  /// leaf. Returns the number of leaves refined to restore balance.
   std::size_t balance();
 
   /// True when the 2:1 constraint holds everywhere (test oracle).

@@ -7,6 +7,7 @@
 #include <functional>
 
 #include "exec/pool.hpp"
+#include "octree/balance.hpp"
 #include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 
@@ -783,6 +784,7 @@ void PmOctree::insert(const LocCode& code, const CellData& data) {
   // Create full sibling groups level by level under the deepest ancestor
   // (octree invariant: a node has zero or eight children).
   ++topology_version_;  // new octants change the leaf set
+  seeds_all_ = true;
   while (path.back().node.code.level() < code.level()) {
     const std::size_t pi = path.size() - 1;
     make_mutable(path, pi);
@@ -877,6 +879,7 @@ void PmOctree::remove(const LocCode& code) {
   write_back_child(path[pi].ref, path[pi].node, code.child_index());
   logical_nodes_ -= free_subtree(doomed, /*tombstone_shared=*/true);
   ++topology_version_;
+  seeds_all_ = true;
 }
 
 void PmOctree::refine(
@@ -903,6 +906,7 @@ void PmOctree::refine(
   logical_nodes_ += kChildrenPerNode;
   note_depth(leaf.level() + 1);
   ++topology_version_;
+  log_seed(leaf, /*coarsened=*/false);
 }
 
 void PmOctree::coarsen(const LocCode& parent_code) {
@@ -934,6 +938,7 @@ void PmOctree::coarsen(const LocCode& parent_code) {
   parent.data = acc;
   write_node(path[pi].ref, parent);
   ++topology_version_;
+  log_seed(parent_code, /*coarsened=*/true);
 }
 
 std::size_t PmOctree::refine_where(
@@ -981,13 +986,55 @@ std::size_t PmOctree::coarsen_where(
   return groups.size();
 }
 
+void PmOctree::log_seed(const LocCode& parent, bool coarsened) {
+  if (seeds_all_) return;
+  if (coarsened) {
+    coarsened_seeds_.push_back(parent);
+  } else {
+    for (int ci = 0; ci < kChildrenPerNode; ++ci)
+      refined_seeds_.push_back(parent.child(ci));
+  }
+  if (refined_seeds_.size() + coarsened_seeds_.size() > logical_nodes_) {
+    // A log longer than the tree: seeding every leaf is cheaper.
+    seeds_all_ = true;
+    refined_seeds_.clear();
+    coarsened_seeds_.clear();
+  }
+}
+
+std::size_t PmOctree::balance() {
+  if (!seeds_all_ && refined_seeds_.empty() && coarsened_seeds_.empty()) {
+    enforce_dram_budget();
+    return 0;  // no structural change since the last balance
+  }
+  // One traversal (pre-order DFS yields Morton order already).
+  std::vector<LocCode> leaves;
+  for_each_leaf(
+      [&](const LocCode& code, const CellData&) { leaves.push_back(code); });
+  std::vector<LocCode> fine;
+  std::vector<LocCode> coarsened;
+  if (seeds_all_) {
+    fine = leaves;
+  } else {
+    fine.swap(refined_seeds_);
+    coarsened.swap(coarsened_seeds_);
+  }
+  // Until the kernel returns, the tree counts as unbalanced everywhere:
+  // this also keeps the kernel's own refines out of the log.
+  seeds_all_ = true;
+  const std::size_t total =
+      octree::ripple_balance(leaves, std::move(fine), coarsened,
+                             [&](const LocCode& code) { refine(code); });
+  refined_seeds_.clear();
+  coarsened_seeds_.clear();
+  seeds_all_ = false;
+  enforce_dram_budget();
+  return total;
+}
+
 namespace {
-// Cover query over the Morton-sorted leaf array: a leaf at level l covers
-// the contiguous key range [key, key + 8^(kMaxLevel-l)), so the covering
-// leaf of any probe code is its predecessor by key. This is how
-// production octree codes answer balance queries (one tree read builds
-// the array, then pure in-cache binary searches) — re-descending from
-// the root 26 times per leaf would dominate every other routine.
+// Cover query over the Morton-sorted leaf array: the covering leaf of any
+// probe code is its predecessor by key.
 const LocCode& cover_in_sorted(const std::vector<LocCode>& leaves,
                                const LocCode& probe) {
   auto it = std::upper_bound(
@@ -997,40 +1044,6 @@ const LocCode& cover_in_sorted(const std::vector<LocCode>& leaves,
   return *(it - 1);
 }
 }  // namespace
-
-std::size_t PmOctree::balance() {
-  std::size_t total = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // One traversal (pre-order DFS yields Morton order already).
-    std::vector<LocCode> leaves;
-    for_each_leaf(
-        [&](const LocCode& code, const CellData&) { leaves.push_back(code); });
-    std::vector<LocCode> to_split;
-    for (const auto& leaf : leaves) {
-      for (const auto& d : LocCode::neighbor_directions()) {
-        LocCode ncode;
-        if (!leaf.neighbor(d[0], d[1], d[2], ncode)) continue;
-        const LocCode& adj = cover_in_sorted(leaves, ncode);
-        if (adj.level() < leaf.level() - 1) to_split.push_back(adj);
-      }
-    }
-    std::sort(to_split.begin(), to_split.end());
-    to_split.erase(std::unique(to_split.begin(), to_split.end()),
-                   to_split.end());
-    for (const auto& code : to_split) {
-      Path path;
-      if (descend(code, path) && path.back().node.is_leaf()) {
-        refine(code);
-        ++total;
-        changed = true;
-      }
-    }
-  }
-  enforce_dram_budget();
-  return total;
-}
 
 bool PmOctree::is_balanced() {
   std::vector<LocCode> leaves;

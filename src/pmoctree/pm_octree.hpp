@@ -198,8 +198,11 @@ class PmOctree {
       const std::function<void(const LocCode&, CellData&)>& init = nullptr);
   std::size_t coarsen_where(
       const std::function<bool(const LocCode&, const CellData&)>& pred);
-  /// 2:1 balance of V_i (ripple refinement).
+  /// 2:1 balance of V_i: one leaf enumeration, then the seeded ripple
+  /// kernel (octree/balance.hpp) over the seed log. Returns the number of
+  /// leaves split.
   std::size_t balance();
+  /// Brute-force 2:1 check of every leaf, independent of the seed log.
   bool is_balanced();
 
   // ---- persistence & versioning -------------------------------------------
@@ -574,6 +577,9 @@ class PmOctree {
   void note_depth(int level) noexcept {
     if (level > depth_) depth_ = level;
   }
+  /// Logs a refine (its 8 children) or a coarsen (the parent) as balance
+  /// seeds (see refined_seeds_).
+  void log_seed(const LocCode& parent, bool coarsened);
 
   /// Cached handles into the process-global telemetry registry, resolved
   /// once at construction so the increment paths are single relaxed
@@ -648,6 +654,13 @@ class PmOctree {
   /// This is what PersistStats::nodes_total reports — the merge no longer
   /// traverses the whole tree, so it cannot count.
   std::size_t logical_nodes_ = 0;
+  /// Balance seed log: the children refine() created and the parents
+  /// coarsen() collapsed since the last balance(). When seeds_all_ is set
+  /// (a new or restored tree, insert() of new octants, remove(), or a log
+  /// that outgrew the tree) the next balance() seeds every leaf instead.
+  std::vector<LocCode> refined_seeds_;
+  std::vector<LocCode> coarsened_seeds_;
+  bool seeds_all_ = true;
 
   std::vector<FeatureFn> features_;
   /// Access heat per subtree id (decayed at each persist).

@@ -413,5 +413,37 @@ TEST(PerfSmoke, PersistLoadsEachVisitedNvbmNodeOnce) {
   EXPECT_EQ(dev.counters().reads - before, stats.visits);
 }
 
+TEST(PerfSmoke, BalanceEnumeratesLeavesOnce) {
+  // O(change) balance: one balance() reads every V_i node once to list the
+  // leaves, and otherwise only the root-to-leaf descents of its own
+  // splits. A full-pass fixpoint re-reads the whole tree in every pass
+  // plus a final pass that splits nothing.
+  nvbm::Device dev(std::size_t{64} << 20, {});
+  nvbm::Heap heap(dev);
+  pmoctree::PmConfig pm;
+  pm.dram_budget_bytes = std::size_t{64} << 20;  // all of C0 stays in DRAM
+  auto tree = pmoctree::PmOctree::create(heap, pm);
+  for (int l = 0; l < 4; ++l)
+    tree.refine_where([](const LocCode&, const CellData&) { return true; });
+  ASSERT_EQ(tree.balance(), 0u);  // uniform level 4 is balanced
+  // A level-7 spike among level-4 leaves: the level-4 neighbours split,
+  // then their level-5 children split again (a ripple of >= 2 rounds).
+  LocCode spike = LocCode::from_grid(4, 5, 6, 7);
+  for (int d = 0; d < 3; ++d) {
+    tree.refine(spike);
+    spike = spike.child(0);
+  }
+  const std::uint64_t nodes = tree.node_count();
+  const std::uint64_t reads0 = tree.dram_counters().reads;
+  const std::size_t splits = tree.balance();
+  const std::uint64_t reads = tree.dram_counters().reads - reads0;
+  EXPECT_TRUE(tree.is_balanced());
+  ASSERT_GT(splits, 8u);
+  // Every split leaf is at level <= 5, so its descent reads <= 6 nodes.
+  EXPECT_LE(reads, nodes + 6 * splits)
+      << "balance read " << reads << " DRAM nodes for " << nodes
+      << " nodes and " << splits << " splits";
+}
+
 }  // namespace
 }  // namespace pmo
