@@ -17,7 +17,6 @@
 #include "baseline/bptree.hpp"
 #include "bench_report.hpp"
 #include "common/simd.hpp"
-#include "pmoctree/linear_tier.hpp"
 #include "serve/reader.hpp"
 
 using namespace pmo;
@@ -305,111 +304,6 @@ void BM_ServePointLookup(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ServePointLookup);
-
-// ---- linear-tier descent ---------------------------------------------------
-
-/// Serve-path point lookups over the all-NVBM tree with the cold bulk in
-/// its original pointer representation. The baseline half of the
-/// pointer-vs-linear descent pair below.
-void BM_PointerDescent(benchmark::State& state) {
-  nvbm::Device dev(std::size_t{256} << 20, bench::device_config());
-  nvbm::Heap heap(dev);
-  pmoctree::PmConfig pm;
-  pm.dram_budget_bytes = 0;
-  pm.linear_compaction = false;
-  auto tree = pmoctree::PmOctree::create(heap, pm);
-  for (int l = 0; l < 4; ++l)
-    tree.refine_where([](const LocCode&, const CellData&) { return true; });
-  tree.persist();
-  serve::Reader reader(tree.pin_snapshot());
-  Rng rng(23);
-  const std::uint32_t side = 1u << 4;
-  for (auto _ : state) {
-    const auto code = LocCode::from_grid(
-        4, static_cast<std::uint32_t>(rng.below(side)),
-        static_cast<std::uint32_t>(rng.below(side)),
-        static_cast<std::uint32_t>(rng.below(side)));
-    benchmark::DoNotOptimize(reader.locate(code));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PointerDescent);
-
-/// Same lookups after persist-time compaction has rewritten the cold
-/// bulk as Morton-sorted packed chains: the descent is rank-select over
-/// SoA pages instead of a pointer chase. Compare against
-/// BM_PointerDescent — same tree, same queries, different layout.
-void BM_LinearDescent(benchmark::State& state) {
-  nvbm::Device dev(std::size_t{256} << 20, bench::device_config());
-  nvbm::Heap heap(dev);
-  pmoctree::PmConfig pm;
-  pm.dram_budget_bytes = 0;
-  pm.compact_min_records = 8;
-  auto tree = pmoctree::PmOctree::create(heap, pm);
-  for (int l = 0; l < 4; ++l)
-    tree.refine_where([](const LocCode&, const CellData&) { return true; });
-  tree.persist();
-  // Quiescent pinpoint persist: freshens one path, compacts the rest.
-  CellData d;
-  d.vof = 0.5;
-  tree.update(LocCode::from_grid(4, 0, 0, 0), d);
-  tree.persist();
-  serve::Reader reader(tree.pin_snapshot());
-  Rng rng(23);
-  const std::uint32_t side = 1u << 4;
-  for (auto _ : state) {
-    const auto code = LocCode::from_grid(
-        4, static_cast<std::uint32_t>(rng.below(side)),
-        static_cast<std::uint32_t>(rng.below(side)),
-        static_cast<std::uint32_t>(rng.below(side)));
-    benchmark::DoNotOptimize(reader.locate(code));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_LinearDescent);
-
-void emit_uniform_subtree(pmoctree::linear::Builder& b, const LocCode& code,
-                          int levels_left) {
-  CellData d;
-  d.vof = static_cast<double>(code.key() & 0xff) / 255.0;
-  const std::uint8_t mask = levels_left > 0 ? 0xff : 0;
-  const std::size_t idx = b.add(code, mask, d);
-  if (levels_left > 0)
-    for (int i = 0; i < kChildrenPerNode; ++i)
-      emit_uniform_subtree(b, code.child(i), levels_left - 1);
-  b.close(idx);
-}
-
-/// The raw batched kernel: 8-lane multi-point locate against one chain,
-/// all lanes stepped one level per round (ChainView::batch_locate), with
-/// no charge model in the loop. This is the SIMD-friendly inner loop the
-/// Jacobi gather feeds.
-void BM_BatchLocate8(benchmark::State& state) {
-  nvbm::Device dev(std::size_t{64} << 20, bench::device_config());
-  nvbm::Heap heap(dev);
-  pmoctree::linear::Builder b;
-  emit_uniform_subtree(b, LocCode::root(), 3);  // 585 records, 10 pages
-  const std::uint64_t chain = heap.alloc(b.bytes());
-  b.write(dev, chain, /*epoch=*/1);
-  pmoctree::linear::ChainView view(dev, chain);
-
-  Rng rng(29);
-  std::vector<LocCode> targets;
-  for (int i = 0; i < 1024; ++i)
-    targets.push_back(LocCode::from_grid(
-        3, static_cast<std::uint32_t>(rng.below(8)),
-        static_cast<std::uint32_t>(rng.below(8)),
-        static_cast<std::uint32_t>(rng.below(8))));
-  std::uint32_t out[8];
-  std::size_t at = 0;
-  for (auto _ : state) {
-    pmoctree::linear::batch_locate(view, targets.data() + at, out, 8);
-    benchmark::DoNotOptimize(out[0]);
-    at = (at + 8) & 1023;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 8));
-}
-BENCHMARK(BM_BatchLocate8);
 
 // ---- solve kernels ---------------------------------------------------------
 

@@ -76,9 +76,7 @@ using LeafPrepareFn = std::function<void(std::size_t)>;
 /// enumeration as the AoS snapshot of sweep_leaves_chunked, split into
 /// parallel key/level/vof/tracer arrays so the solve kernels (the SIMD
 /// gather, the interface-band mark kernel, the face-neighbor-index build)
-/// stream one field at a time — the DRAM-side mirror of the linear cold
-/// tier's packed page layout, which is why the PM backend can fill it
-/// page-wise straight from chains.
+/// stream one field at a time.
 struct SoaLeaves {
   std::vector<std::uint64_t> keys;   ///< LocCode::key(), Morton order
   std::vector<std::uint8_t> levels;  ///< LocCode::level()
@@ -163,7 +161,7 @@ class MeshBackend {
   /// separate key/level/vof/tracer arrays (same charged traversal, same
   /// Morton enumeration, same fixed chunk decomposition). The default
   /// implementation fills the arrays through visit_leaves; the PM backend
-  /// overrides extraction to stream linear-tier chains page-wise. Chunk
+  /// overrides extraction to fill them straight from the tree. Chunk
   /// callbacks follow the sweep_leaves_chunked rules (snapshot-only, no
   /// backend access).
   virtual void sweep_leaves_chunked_soa(

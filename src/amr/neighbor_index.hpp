@@ -14,13 +14,12 @@
 // The build is the one place the solve still searches, and it never
 // searches point-wise: it computes all 6n same-size neighbor keys with
 // the batched BMI2 Morton kernels (morton_decode3_batch /
-// morton_encode3_batch, 8 leaves at a time — the same 8-lane shape as the
-// linear tier's batch_locate), sorts the resolution requests by neighbor
-// key, and answers every one of them with a single forward merge sweep
-// over the sorted leaf keys — O(1) amortized candidate inspections per
-// face, versus O(log n) for each per-face binary search in the legacy
-// arm. perf_smoke holds the build's total probe count to <= 25% of that
-// baseline's per-sweep find probes.
+// morton_encode3_batch, 8 leaves at a time), sorts the resolution
+// requests by neighbor key, and answers every one of them with a single
+// forward merge sweep over the sorted leaf keys — O(1) amortized
+// candidate inspections per face, versus O(log n) for each per-face
+// binary search in the legacy arm. perf_smoke holds the build's total
+// probe count to <= 25% of that baseline's per-sweep find probes.
 #pragma once
 
 #include <cstddef>

@@ -25,9 +25,8 @@ class PmOctreeBackend final : public MeshBackend {
     tree_->for_each_leaf_mut_pruned(visit_subtree, fn);
   }
   void visit_leaves(const LeafFn& fn) override { tree_->for_each_leaf(fn); }
-  /// SoA snapshot extraction straight from the tree: DRAM/NVBM leaves via
-  /// the charged read path, linear-tier chains streamed page-wise (one
-  /// page charge per packed page instead of per-record synthesis).
+  /// SoA snapshot extraction straight from the tree, through the charged
+  /// read path.
   void sweep_leaves_chunked_soa(std::size_t chunks, const SoaLeafChunkFn& fn,
                                 exec::ThreadPool* pool = nullptr,
                                 const SoaPrepareFn& prepare =

@@ -53,49 +53,17 @@ struct PmConfig {
   /// traversal cursors — the pure re-descend-from-root baseline.
   std::size_t node_cache_bytes = std::size_t{4} << 20;
 
-  /// Persist-time compaction of cold subtrees into the flat Morton-keyed
-  /// linear tier (DESIGN.md §11): after the merge, maximal subtrees that
-  /// survived a persist unchanged (every node's epoch predates the
-  /// current persist) are rewritten as packed octant pages and the fresh
-  /// parents relinked to NodeRef::linear records. First mutation promotes
-  /// the touched path back to pointer-tier PNodes via the ordinary CoW
-  /// branch. Off = pure pointer tier (the A/B baseline; the persisted
-  /// *logical* content is identical, the physical layout is not).
-  bool linear_compaction = true;
-
-  /// Only compact candidate subtrees with at least this many octants —
-  /// tiny chains fragment the heap without amortizing their page headers.
-  std::size_t compact_min_records = 32;
-
-  /// DRAM budget (bytes) of the linear tier's page-residency cache: a
-  /// record access on a resident page charges a DRAM-side cached read, a
-  /// miss streams the whole page from NVBM and admits it. 0 = every
-  /// record access pays the NVBM streaming charge.
-  std::size_t page_cache_bytes = std::size_t{1} << 20;
-
   /// TEST HOOK (crash injection): when true, persist() returns right
-  /// after the compaction stage — before flush_all() and the root swap —
-  /// emulating a process death mid-compaction with chain pages and parent
-  /// relinks still sitting unflushed in the crash simulator's write
-  /// buffer. The tree object is inconsistent afterwards and must be
-  /// abandoned; only Device::simulate_crash + restore are meaningful.
+  /// after the merge — before flush_all() and the root swap — emulating a
+  /// process death with every merge write still sitting unflushed in the
+  /// crash simulator's write buffer. The tree object is inconsistent
+  /// afterwards and must be abandoned; only Device::simulate_crash +
+  /// restore are meaningful.
   bool crash_before_flush_for_test = false;
 
   /// Keep a remote replica of V_{i-1} and ship deltas at each persist
   /// (§3.4 second scenario). Costs are modeled through cluster::LinkModel.
   bool enable_replica = false;
-
-  // ---- automated C0 sizing (the paper's §6 future work) -------------------
-  /// When true, the C0 DRAM budget adapts at each persist: it grows while
-  /// the NVBM tier serves more than `auto_budget_high` of memory accesses
-  /// and shrinks when it serves less than `auto_budget_low`, within
-  /// [auto_budget_min_bytes, auto_budget_max_bytes].
-  bool auto_budget = false;
-  double auto_budget_high = 0.5;   ///< grow when NVBM share exceeds this
-  double auto_budget_low = 0.10;   ///< shrink when NVBM share is below this
-  double auto_budget_step = 1.25;  ///< multiplicative grow/shrink factor
-  std::size_t auto_budget_min_bytes = std::size_t{64} << 10;
-  std::size_t auto_budget_max_bytes = std::size_t{1} << 30;
 };
 
 /// Access/latency accounting for the DRAM side (the device tracks NVBM).

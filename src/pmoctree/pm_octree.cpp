@@ -19,16 +19,6 @@ constexpr std::size_t kNodeSize = sizeof(PNode);
 std::size_t lines_for(std::size_t bytes, std::size_t line) noexcept {
   return (bytes + line - 1) / line;
 }
-
-// Position of `code` in a pre-order DFS that visits children in
-// descending slot order: flip every child digit (d -> 7 - d) and order by
-// (flipped anchor, level), so an ancestor precedes its descendants.
-std::pair<std::uint64_t, int> reverse_dfs_key(const LocCode& code) {
-  const int shift = 3 * (kMaxLevel - code.level());
-  const std::uint64_t digits = (std::uint64_t{1} << (3 * kMaxLevel)) - 1;
-  const std::uint64_t flipped = (~code.key() & digits) >> shift << shift;
-  return {flipped, code.level()};
-}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -38,8 +28,7 @@ std::pair<std::uint64_t, int> reverse_dfs_key(const LocCode& code) {
 PmOctree::PmOctree(nvbm::Heap& heap, PmConfig config)
     : heap_(heap),
       config_(config),
-      cache_(config.node_cache_bytes),
-      page_cache_(config.page_cache_bytes) {
+      cache_(config.node_cache_bytes) {
   // PNodes dominate heap traffic; give their size class the O(1)
   // fast-path free list.
   heap_.reserve_class(kNodeSize);
@@ -63,9 +52,6 @@ PmOctree::PmOctree(nvbm::Heap& heap, PmConfig config)
   tm_.cursor_lca_reuse = &reg.counter("pmoctree.cursor.lca_reuse");
   tm_.persist_visits = &reg.counter("pmoctree.persist.visits");
   tm_.persist_pruned = &reg.counter("pmoctree.persist.pruned_subtrees");
-  tm_.linear_pages = &reg.counter("pmoctree.linear.pages");
-  tm_.linear_promotions = &reg.counter("pmoctree.linear.promotions");
-  tm_.linear_compactions = &reg.counter("pmoctree.linear.compactions");
   registry_ = std::make_shared<SnapshotRegistry>();
   registry_->set_counters(&reg.counter("pmoctree.snapshot.pins"),
                           &reg.counter("pmoctree.snapshot.unpins"));
@@ -167,59 +153,8 @@ PNode PmOctree::read_node(NodeRef ref) {
     touch_heat(node.code, 1.0);
     return node;
   }
-  if (ref.in_linear()) {
-    const PNode node = synth_linear(ref);
-    touch_heat(node.code, 1.0);
-    return node;
-  }
   const PNode node = nv_load(ref.nvbm_offset());
   touch_heat(node.code, 1.0);
-  return node;
-}
-
-void PmOctree::note_chain(std::uint64_t chain, std::uint32_t npages) {
-  chains_.emplace(chain, npages);
-}
-
-void PmOctree::charge_linear_page(std::uint64_t page_off) {
-  if (page_cache_.touch(page_off)) {
-    // Resident page: the record access is DRAM traffic, one line.
-    device().charge_cached_read(config_.cache_line);
-    return;
-  }
-  // Miss: stream the whole page in (and admit it). This is where the
-  // compaction win comes from — one 62-line page read covers 64 octants
-  // where the pointer tier pays ~3 lines per octant, and repeats are
-  // cached reads that never touch nvbm.lines_read again.
-  device().touch_read(page_off, linear::kPageBytes);
-}
-
-PNode PmOctree::synth_linear(NodeRef ref) {
-  const std::uint64_t chain = ref.linear_chain();
-  const std::uint32_t r = ref.linear_index();
-  linear::ChainView view(device(), chain);
-  note_chain(chain, view.pages());
-  charge_linear_page(linear::page_offset(chain, r));
-  PNode node{};
-  node.code = view.code(r);
-  node.data = view.data(r);
-  node.parent = 0;  // synthesized views are parentless; paths carry links
-  node.epoch = view.epoch();
-  const std::uint8_t m = view.mask(r);
-  std::uint32_t c = r + 1;
-  std::uint64_t probed = linear::page_offset(chain, r);
-  for (int j = 0; j < 8; ++j) {
-    if ((m & (1u << j)) == 0) continue;
-    node.set_child(j, NodeRef::linear(chain, c));
-    // The skip probe locating the next sibling may land on a later page;
-    // charge each newly touched page once.
-    const std::uint64_t p = linear::page_offset(chain, c);
-    if (p != probed) {
-      charge_linear_page(p);
-      probed = p;
-    }
-    c += view.skip(c);
-  }
   return node;
 }
 
@@ -245,7 +180,6 @@ void PmOctree::nv_store(std::uint64_t offset, const PNode& node) {
   clean.flags &= ~kNodeSubtreeDirty;
   device().store<PNode>(offset, clean);
   cache_.update(offset, clean, epoch_);
-  note_links(offset, clean);
 }
 
 void PmOctree::nv_store_partial(std::uint64_t offset, std::size_t field_off,
@@ -256,13 +190,12 @@ void PmOctree::nv_store_partial(std::uint64_t offset, std::size_t field_off,
   device().write(offset + field_off,
                  reinterpret_cast<const std::byte*>(&clean) + field_off, len);
   cache_.update(offset, clean, epoch_);
-  note_links(offset, clean);
 }
 
 void PmOctree::nv_free(std::uint64_t offset) {
   ++structure_version_;
-  unlink(offset);
-  forget(offset);
+  if (cache_.invalidate(offset)) tm_.cache_invalidations->add();
+  if (!born_late_.empty()) born_late_.erase(offset);
   heap_.free(offset);
 }
 
@@ -475,18 +408,7 @@ bool PmOctree::descend(const LocCode& code, Path& path) {
     cursor_reuse_ += reused;
   }
   if (cur != nullptr) {
-    // Save only the pointer-tier prefix: replaying a linear entry
-    // charge-transparently would redo the whole skip-walk synthesis, so
-    // there is nothing for reuse to save below the first chain record.
-    std::size_t keep = path.size();
-    for (std::size_t i = 0; i < path.size(); ++i) {
-      if (path[i].ref.in_linear()) {
-        keep = i;
-        break;
-      }
-    }
-    cur->path.assign(path.begin(),
-                     path.begin() + static_cast<std::ptrdiff_t>(keep));
+    cur->path = path;
     cur->stamp = epoch_;
     cur->version = structure_version_;
   }
@@ -521,20 +443,12 @@ NodeRef PmOctree::make_mutable(Path& path, std::size_t i) {
     }
     return ref;
   }
-  if (ref.in_nvbm() && path[i].node.epoch == epoch_)
-    return ref;  // private NVBM node
+  if (path[i].node.epoch == epoch_) return ref;  // private NVBM node
 
   // Copy-on-write (Fig. 4): copy this shared octant, then recursively make
   // the parent mutable and relink. The shared original stays untouched for
-  // V_{i-1}. A linear record takes exactly this branch too — its chain is
-  // immutable and shared by construction — which is the promotion path:
-  // the copy is an ordinary pointer-tier PNode whose untouched child slots
-  // keep addressing the chain.
-  if (ref.in_linear()) {
-    tm_.linear_promotions->add();
-  } else {
-    retire(ref.nvbm_offset(), birth_of(ref.nvbm_offset(), path[i].node.epoch));
-  }
+  // V_{i-1}.
+  retire(ref.nvbm_offset(), birth_of(ref.nvbm_offset(), path[i].node.epoch));
   tm_.cow_copies->add();
   telemetry::trace::instant("pmoctree.cow_copy", "pmoctree",
                             {{"depth", static_cast<double>(i)}});
@@ -635,39 +549,6 @@ void PmOctree::extract_leaves_soa(std::vector<std::uint64_t>& keys,
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
-    if (ref.in_linear()) {
-      // Stream the whole packed subtree in one linear scan: records
-      // [r0, r0 + skip(r0)) are its DFS pre-order, which IS the Morton
-      // leaf order the snapshot needs (mask == 0 records are leaves).
-      // Modeled cost: one page charge per touched 3936-byte page — the
-      // sequential-scan price of the cold tier, instead of
-      // per-record synth_linear. No heat touch (see the header comment).
-      const std::uint64_t chain = ref.linear_chain();
-      const std::uint32_t r0 = ref.linear_index();
-      linear::ChainView view(device(), chain);
-      note_chain(chain, view.pages());
-      std::uint64_t probed = ~std::uint64_t{0};
-      const auto touch_page = [&](std::uint32_t rec) {
-        const std::uint64_t p = linear::page_offset(chain, rec);
-        if (p != probed) {
-          charge_linear_page(p);
-          probed = p;
-        }
-      };
-      touch_page(r0);
-      const std::uint32_t rend = r0 + view.skip(r0);
-      for (std::uint32_t r = r0; r < rend; ++r) {
-        touch_page(r);
-        if (view.mask(r) != 0) continue;
-        const LocCode code = view.code(r);
-        const CellData d = view.data(r);
-        keys.push_back(code.key());
-        levels.push_back(static_cast<std::uint8_t>(code.level()));
-        vof.push_back(d.vof);
-        tracer.push_back(d.tracer);
-      }
-      continue;
-    }
     const PNode node = read_node(ref);
     if (node.is_leaf()) {
       keys.push_back(node.code.key());
@@ -781,19 +662,23 @@ void PmOctree::insert(const LocCode& code, const CellData& data) {
     write_back_data(path.back());
     return;
   }
-  // Create full sibling groups level by level under the deepest ancestor
-  // (octree invariant: a node has zero or eight children).
+  // Create the path level by level under the deepest ancestor. A leaf
+  // gets a full sibling group (octree invariant: a node has zero or eight
+  // children); an internal octant that lost the target child to remove()
+  // gets just that child, so its live siblings stay linked.
   ++topology_version_;  // new octants change the leaf set
   seeds_all_ = true;
   while (path.back().node.code.level() < code.level()) {
     const std::size_t pi = path.size() - 1;
     make_mutable(path, pi);
     PNode parent = path[pi].node;
+    const bool split = parent.is_leaf();
     const int next_level = parent.code.level() + 1;
     const int take = code.ancestor_at(next_level).child_index();
     NodeRef take_ref;
     PNode take_node{};
     for (int ci = 0; ci < kChildrenPerNode; ++ci) {
+      if (!split && ci != take) continue;
       PNode child{};
       child.code = parent.code.child(ci);
       child.data = parent.data;  // inherit
@@ -801,14 +686,18 @@ void PmOctree::insert(const LocCode& code, const CellData& data) {
       child.set_parent(path[pi].ref);
       const NodeRef cref = alloc_node(child, place_new(child.code));
       parent.set_child(ci, cref);
+      ++logical_nodes_;
       if (ci == take) {
         take_ref = cref;
         take_node = child;
       }
     }
-    write_back_children(path[pi].ref, parent);
+    if (split) {
+      write_back_children(path[pi].ref, parent);
+    } else {
+      write_back_child(path[pi].ref, parent, take);
+    }
     path[pi].node = parent;
-    logical_nodes_ += kChildrenPerNode;
     path.push_back({take_ref, take_node});
   }
   path.back().node.data = data;
@@ -828,17 +717,6 @@ void PmOctree::update(const LocCode& code, const CellData& data) {
 
 std::size_t PmOctree::free_subtree(NodeRef ref, bool tombstone_shared) {
   if (ref.null()) return 0;
-  if (ref.in_linear()) {
-    // A chain is freed as a unit once no node links it; an
-    // individual record can be neither freed nor tombstoned. The skip
-    // word IS the subtree's logical octant count — O(1), no recursion.
-    const std::uint64_t chain = ref.linear_chain();
-    const std::uint32_t r = ref.linear_index();
-    linear::ChainView view(device(), chain);
-    note_chain(chain, view.pages());
-    charge_linear_page(linear::page_offset(chain, r));
-    return view.skip(r);
-  }
   PNode node = ref.in_dram() ? *ref.dram_ptr() : nv_load(ref.nvbm_offset());
   if (ref.in_dram() || node.epoch == epoch_) {  // private: free outright
     std::size_t n = 1;
@@ -1067,7 +945,6 @@ bool PmOctree::is_balanced() {
 
 NodeRef PmOctree::nvbmify(NodeRef ref, std::size_t* moved) {
   if (ref.null()) return ref;
-  if (ref.in_linear()) return ref;  // already NVBM-resident, shared
   if (ref.in_nvbm()) {
     PNode node = nv_load(ref.nvbm_offset());
     if (node.epoch != epoch_) return ref;  // shared subtree: all NVBM already
@@ -1117,7 +994,7 @@ NodeRef PmOctree::nvbmify(NodeRef ref, std::size_t* moved) {
   // Fix advisory parent pointers of private (current-epoch) children.
   for (int i = 0; i < kChildrenPerNode; ++i) {
     const NodeRef c = node.child_ref(i);
-    if (!c.in_nvbm()) continue;  // null or linear: nothing to fix
+    if (!c.in_nvbm()) continue;
     PNode child = nv_load(c.nvbm_offset());
     if (child.epoch == epoch_) {
       child.set_parent(nref);
@@ -1146,17 +1023,6 @@ void PmOctree::census_add(SampleCensus& census, const LocCode& code,
   }
 }
 
-void PmOctree::MergeCtx::log_fringe(std::uint64_t off, const PNode& node,
-                                    PNode* working, const MergeResult* res) {
-  std::uint8_t slots = 0;
-  for (int i = 0; i < kChildrenPerNode; ++i) {
-    const MergeResult& r = res[i];
-    if (r.pref.in_nvbm() && !r.changed && r.wref == r.pref)
-      slots |= static_cast<std::uint8_t>(1u << i);
-  }
-  if (slots != 0) fringe.push_back({off, node, working, slots});
-}
-
 void PmOctree::install_twin(const PNode* slot, std::uint64_t off) {
   const auto [it, fresh] = twins_.try_emplace(slot, Twin{off, epoch_});
   if (!fresh) {
@@ -1167,10 +1033,6 @@ void PmOctree::install_twin(const PNode* slot, std::uint64_t off) {
 
 PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
   if (ref.null()) return {ref, ref, false};
-  // A linear record is part of V_{i-1}'s compacted image and is immutable:
-  // it serves both versions as-is (mutations promote records out of the
-  // chain before ever reaching the merge).
-  if (ref.in_linear()) return {ref, ref, false};
   if (ref.in_nvbm()) {
     ++ctx.stats.visits;
     PNode node = device().load<PNode>(ref.nvbm_offset());
@@ -1199,7 +1061,6 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
         }
       }
       if (relink) nv_store_children(ref.nvbm_offset(), node);
-      ctx.log_fringe(ref.nvbm_offset(), node, nullptr, child_res);
       return {ref, ref, true};  // created this epoch: new vs V_{i-1}
     }
     // This node sits above DRAM children: split it into a DRAM working
@@ -1217,7 +1078,6 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
     PNode* slot = take_dram_slot();
     *slot = working;
     charge_dram_write();
-    ctx.log_fringe(twin_off, twin, slot, child_res);
     install_twin(slot, twin_off);
     ctx.splits.push_back(ref.nvbm_offset());
     ++ctx.stats.merged_from_dram;
@@ -1246,10 +1106,8 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
   PNode twin_content = *ptr;
   bool child_changed = false;
   bool working_relink = false;
-  MergeResult child_res[kChildrenPerNode];
   for (int i = 0; i < kChildrenPerNode; ++i) {
-    const MergeResult& sub = child_res[i] =
-        persist_subtree(twin_content.child_ref(i), ctx);
+    const MergeResult sub = persist_subtree(twin_content.child_ref(i), ctx);
     twin_content.set_child(i, sub.pref);
     child_changed |= sub.changed;
     if (!(sub.wref == ptr->child_ref(i))) {
@@ -1271,7 +1129,6 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
   twin_content.set_parent(NodeRef{});  // advisory; fixed by the parent
   const std::uint64_t off = heap_.alloc(kNodeSize);
   nv_store(off, twin_content);
-  ctx.log_fringe(off, twin_content, ptr, child_res);
   install_twin(ptr, off);
   ++ctx.stats.merged_from_dram;
   ++ctx.changed;
@@ -1290,16 +1147,6 @@ void PmOctree::collect_census(NodeRef root, SampleCensus& census) {
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
-    if (ref.in_linear()) {
-      // Stream the chain's record range (skip(r) = subtree size) through
-      // the same charge-free raw path.
-      linear::ChainView view(device(), ref.linear_chain());
-      const std::uint32_t r0 = ref.linear_index();
-      const std::uint32_t end = r0 + view.skip(r0);
-      for (std::uint32_t r = r0; r < end; ++r)
-        census_add(census, view.code(r), view.data(r), false);
-      continue;
-    }
     PNode node;
     if (ref.in_dram()) {
       node = *ref.dram_ptr();
@@ -1315,103 +1162,6 @@ void PmOctree::collect_census(NodeRef root, SampleCensus& census) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// linear-tier compaction (DESIGN.md §11)
-// ---------------------------------------------------------------------------
-
-bool PmOctree::compactable_subtree(
-    NodeRef ref, std::vector<std::pair<std::uint64_t, PNode>>& nodes) {
-  // Purity walk in DFS pre-order: the whole subtree must be old
-  // pointer-tier NVBM. A fresh node means the merge rewrote something
-  // below (not clean after all); a linear child means a previous
-  // compaction already claimed part of it — the pointer crown above an
-  // existing chain stays pointer-tier forever, chains never nest. Loads
-  // are charged: compaction pays to inspect its candidates, once.
-  std::vector<std::uint64_t> stack{ref.nvbm_offset()};
-  nodes.clear();
-  while (!stack.empty()) {
-    const std::uint64_t off = stack.back();
-    stack.pop_back();
-    const PNode node = nv_load(off);
-    if (node.deleted() || node.epoch == epoch_) return false;
-    if (nodes.size() >= linear::kMaxChainRecords) return false;
-    nodes.emplace_back(off, node);
-    for (int i = kChildrenPerNode - 1; i >= 0; --i) {
-      const NodeRef c = node.child_ref(i);
-      if (c.null()) continue;
-      if (!c.in_nvbm()) return false;
-      stack.push_back(c.nvbm_offset());
-    }
-  }
-  return true;
-}
-
-void PmOctree::compact_clean_subtrees(std::vector<FringeParent>& fringe,
-                                      PersistStats& stats) {
-  // Runs between the merge and flush_all: chain pages and relinked
-  // parents land in the crash-sim write buffer ahead of the root swap,
-  // and the *old* durable root never references a chain. A
-  // crash mid-compaction therefore recovers to a fully pointer-tier
-  // image, a crash after the swap to a fully compacted one — a torn
-  // chain is unreachable either way. Visiting the merge's fringe log in
-  // DFS order over the fresh nodes (children in descending slot order)
-  // keeps the chain allocation order, and the heap layout, a pure
-  // function of the tree; no fresh node is read.
-  std::sort(fringe.begin(), fringe.end(),
-            [](const FringeParent& a, const FringeParent& b) {
-              return reverse_dfs_key(a.node.code) <
-                     reverse_dfs_key(b.node.code);
-            });
-  std::vector<std::pair<std::uint64_t, PNode>> nodes;
-  std::vector<std::pair<std::size_t, int>> open;  // (record, level)
-  for (auto& [poff, node, working, slots] : fringe) {
-    bool relinked = false;
-    for (int i = 0; i < kChildrenPerNode; ++i) {
-      if ((slots & (1u << i)) == 0) continue;
-      const NodeRef c = node.child_ref(i);
-      if (!compactable_subtree(c, nodes)) continue;
-      const std::size_t records = nodes.size();
-      if (records < config_.compact_min_records) continue;
-      // Pre-order emission; a record closes (its skip word becomes its
-      // subtree size) once the next record is no longer its descendant.
-      linear::Builder b;
-      for (const auto& [off, n] : nodes) {
-        for (; !open.empty() && open.back().second >= n.code.level();
-             open.pop_back())
-          b.close(open.back().first);
-        open.emplace_back(b.add(n.code, n.child_mask(), n.data),
-                          n.code.level());
-      }
-      for (; !open.empty(); open.pop_back()) b.close(open.back().first);
-      const std::uint64_t chain = heap_.alloc(b.bytes());
-      b.write(device(), chain, epoch_);
-      const std::uint32_t npages = linear::pages_for(records);
-      note_chain(chain, npages);
-      node.set_child(i, NodeRef::linear(chain, 0));
-      relinked = true;
-      ++stats.compacted_subtrees;
-      stats.compacted_records += records;
-      tm_.linear_compactions->add();
-      tm_.linear_pages->add(npages);
-      telemetry::trace::instant(
-          "pmoctree.compact", "pmoctree",
-          {{"records", static_cast<double>(records)},
-           {"pages", static_cast<double>(npages)}});
-      // The superseded pointer nodes stay untouched — V_{i-1} and pinned
-      // readers still descend them — and are retired with this seal.
-      for (const auto& [off, n] : nodes) retire(off, birth_of(off, n.epoch));
-    }
-    if (!relinked) continue;
-    write_back_children(NodeRef::nvbm(poff), node);
-    if (working != nullptr) {
-      PNode w = *working;
-      for (int i = 0; i < kChildrenPerNode; ++i)
-        if (node.child_ref(i).in_linear()) w.set_child(i, node.child_ref(i));
-      write_back_children(NodeRef::dram(working), w);
-    }
-  }
-}
-
 PersistStats PmOctree::persist() {
   telemetry::Span span("pmoctree.persist");
   PersistStats stats;
@@ -1423,42 +1173,31 @@ PersistStats PmOctree::persist() {
   //    only the dirty fringe, so the octant total comes from the
   //    incrementally maintained logical count, not from the walk.
   stats.nodes_total = logical_nodes_;
-  MergeCtx ctx{stats, 0, {}, {}};
+  MergeCtx ctx{stats, 0, {}};
   NodeRef new_prev;
   {
-    // The merge's and the compaction's bump allocations advance the
-    // durable high-water mark once, when this scope closes — before
-    // flush_all() and the root swap, so no durable root ever reaches an
-    // object above the durable mark (DESIGN.md §9).
+    // The merge's bump allocations advance the durable high-water mark
+    // once, when this scope closes — before flush_all() and the root
+    // swap, so no durable root ever reaches an object above the durable
+    // mark (DESIGN.md §9).
     nvbm::Heap::DeferHighWater defer_hw(heap_);
-    {
-      telemetry::Span merge_span("merge");  // pmoctree.persist.merge
-      const MergeResult res = persist_subtree(cur_root_, ctx);
-      for (const std::uint64_t off : ctx.splits) nv_free(off);
-      new_prev = res.pref;
-      cur_root_ = res.wref;  // NVBM-above-DRAM nodes may have joined C0
-    }
-    PMO_CHECK(new_prev.in_nvbm());
-    stats.nodes_shared =
-        stats.nodes_total - std::min(ctx.changed, stats.nodes_total);
-    stats.overlap_ratio =
-        stats.nodes_total == 0
-            ? 0.0
-            : static_cast<double>(stats.nodes_shared) /
-                  static_cast<double>(stats.nodes_total);
-    stats.delta_bytes = ctx.changed * kNodeSize;
-
-    // 1b. Compaction (DESIGN.md §11): rewrite maximal persisted-and-clean
-    //     pointer subtrees hanging off the fresh fringe as packed linear
-    //     chains. Still pre-flush — the chains become durable (and the
-    //     relinks visible) only through the same root swap as the merge.
-    if (config_.linear_compaction) {
-      telemetry::Span compact_span("compact");  // pmoctree.persist.compact
-      compact_clean_subtrees(ctx.fringe, stats);
-    }
+    telemetry::Span merge_span("merge");  // pmoctree.persist.merge
+    const MergeResult res = persist_subtree(cur_root_, ctx);
+    for (const std::uint64_t off : ctx.splits) nv_free(off);
+    new_prev = res.pref;
+    cur_root_ = res.wref;  // NVBM-above-DRAM nodes may have joined C0
   }
-  // Crash-injection hook: die here, with the merge's and compaction's
-  // writes unflushed and the durable root still pointing at V_{i-1}.
+  PMO_CHECK(new_prev.in_nvbm());
+  stats.nodes_shared =
+      stats.nodes_total - std::min(ctx.changed, stats.nodes_total);
+  stats.overlap_ratio =
+      stats.nodes_total == 0
+          ? 0.0
+          : static_cast<double>(stats.nodes_shared) /
+                static_cast<double>(stats.nodes_total);
+  stats.delta_bytes = ctx.changed * kNodeSize;
+  // Crash-injection hook: die here, with the merge's writes unflushed
+  // and the durable root still pointing at V_{i-1}.
   if (config_.crash_before_flush_for_test) return stats;
 
   // 2. Make everything durable, then atomically swing the persistent root.
@@ -1506,32 +1245,6 @@ PersistStats PmOctree::persist() {
     maybe_transform();
   }
 
-  // 5. Automated C0 sizing (the paper's §6 future work): adapt the DRAM
-  //    budget to keep the NVBM tier's share of memory accesses in band.
-  if (config_.auto_budget) {
-    // Node-cache hits are DRAM accesses: count them on the DRAM side so
-    // the cache does not read as phantom NVBM pressure.
-    const std::uint64_t dram_now =
-        dram_.reads + dram_.writes + device().counters().cached_reads;
-    const std::uint64_t nvbm_now = device().counters().total_accesses();
-    const double d = static_cast<double>(dram_now - auto_last_dram_);
-    const double n = static_cast<double>(nvbm_now - auto_last_nvbm_);
-    auto_last_dram_ = dram_now;
-    auto_last_nvbm_ = nvbm_now;
-    if (d + n > 0) {
-      const double nvbm_share = n / (d + n);
-      double budget = static_cast<double>(config_.dram_budget_bytes);
-      if (nvbm_share > config_.auto_budget_high) {
-        budget *= config_.auto_budget_step;
-      } else if (nvbm_share < config_.auto_budget_low) {
-        budget /= config_.auto_budget_step;
-      }
-      config_.dram_budget_bytes = std::clamp(
-          static_cast<std::size_t>(budget), config_.auto_budget_min_bytes,
-          config_.auto_budget_max_bytes);
-    }
-  }
-
   tm_.persists->add();
   tm_.merged_from_dram->add(stats.merged_from_dram);
   tm_.persist_visits->add(stats.visits);
@@ -1556,68 +1269,16 @@ void PmOctree::collect_reachable_nvbm(
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
-    if (ref.in_linear()) {
-      // A chain is one heap object: mark the whole allocation live and
-      // stop — records reference only records of the same chain.
-      const std::uint64_t chain = ref.linear_chain();
-      if (out.insert(chain).second) {
-        linear::ChainView view(device(), chain);
-        note_chain(chain, view.pages());
-      }
-      continue;
-    }
     if (ref.in_nvbm()) {
       if (!out.insert(ref.nvbm_offset()).second) continue;
     }
     const PNode node = ref.in_dram()
                            ? *ref.dram_ptr()
                            : nv_load(ref.nvbm_offset());
-    if (ref.in_nvbm()) note_links(ref.nvbm_offset(), node);
     for (int i = 0; i < kChildrenPerNode; ++i) {
       const NodeRef c = node.child_ref(i);
       if (!c.null()) stack.push_back(c);
     }
-  }
-}
-
-void PmOctree::note_links(std::uint64_t off, const PNode& node) {
-  std::vector<std::uint64_t> chains;  // distinct, in slot order
-  for (int i = 0; i < kChildrenPerNode; ++i) {
-    const NodeRef c = node.child_ref(i);
-    if (c.in_linear() && std::find(chains.begin(), chains.end(),
-                                   c.linear_chain()) == chains.end())
-      chains.push_back(c.linear_chain());
-  }
-  if (chains.empty() && linkers_.empty()) return;  // pointer-only fast path
-  const auto it = linkers_.find(off);
-  if (it != linkers_.end() && it->second == chains) return;
-  // Count the new links before dropping the old ones, so a chain the
-  // node keeps never touches zero.
-  for (const std::uint64_t chain : chains) ++chain_refs_[chain];
-  unlink(off);
-  if (!chains.empty()) linkers_.emplace(off, std::move(chains));
-}
-
-void PmOctree::unlink(std::uint64_t off) {
-  const auto it = linkers_.find(off);
-  if (it == linkers_.end()) return;
-  for (const std::uint64_t chain : it->second) {
-    if (--chain_refs_[chain] != 0) continue;
-    // Unreachable by any version: the empty range frees it next drain.
-    chain_refs_.erase(chain);
-    retired_.push_back({chain, epoch_, epoch_});
-  }
-  linkers_.erase(it);
-}
-
-void PmOctree::forget(std::uint64_t off) {
-  if (cache_.invalidate(off)) tm_.cache_invalidations->add();
-  if (!born_late_.empty()) born_late_.erase(off);
-  // A freed chain must leave the page-residency cache before the heap
-  // reuses the bytes for something with different charge semantics.
-  if (const auto it = chains_.find(off); it != chains_.end()) {
-    page_cache_.invalidate_chain(off, it->second);
-    chains_.erase(it);
   }
 }
 
@@ -1632,31 +1293,22 @@ std::size_t PmOctree::drain_retired() {
   };
   std::vector<std::uint64_t> batch;
   std::size_t kept = 0;
-  // Indexed: unlink() may append dead chains, drained in this same pass.
-  for (std::size_t i = 0; i < retired_.size(); ++i) {
-    const Retired r = retired_[i];
+  for (const Retired& r : retired_) {
     if (blocked(r)) {
       retired_[kept++] = r;
-      continue;
+    } else {
+      batch.push_back(r.off);
     }
-    unlink(r.off);
-    batch.push_back(r.off);
   }
   retired_.resize(kept);
   // Ascending offsets, like a heap sweep: the free lists — and so every
   // later allocation offset — are those a full mark-and-sweep would give.
   std::sort(batch.begin(), batch.end());
-  for (const std::uint64_t off : batch) {
-    forget(off);
-    heap_.free(off);
-  }
+  for (const std::uint64_t off : batch) nv_free(off);
   return reclaimed(batch.size());
 }
 
 std::size_t PmOctree::gc() {
-  // The mark rebuilds the chain counts (empty after restore()).
-  linkers_.clear();
-  chain_refs_.clear();
   recovery_gc_ = false;
   std::unordered_set<std::uint64_t> live;
   collect_reachable_nvbm(prev_root_, live);
@@ -1673,15 +1325,16 @@ std::size_t PmOctree::gc() {
   // the persist (the cache is restamped, not cleared, at epoch bumps).
   const std::size_t freed = heap_.sweep([&](std::uint64_t off) {
     const bool is_live = live.count(off) != 0;
-    if (!is_live) forget(off);
+    if (!is_live) {
+      if (cache_.invalidate(off)) tm_.cache_invalidations->add();
+      if (!born_late_.empty()) born_late_.erase(off);
+    }
     return is_live;
   });
   // Entries the sweep kept are reachable from a pinned version (or,
-  // mid-epoch, V_{i-1}) — except empty-range chains queued by the
-  // incomplete counts after restore(), which are live.
-  std::erase_if(retired_, [&](const Retired& r) {
-    return r.birth == r.death || !heap_.is_allocated(r.off);
-  });
+  // mid-epoch, V_{i-1}).
+  std::erase_if(retired_,
+                [&](const Retired& r) { return !heap_.is_allocated(r.off); });
   return reclaimed(freed);
 }
 
@@ -1712,13 +1365,9 @@ void PmOctree::destroy() {
   registry_->publish(0, 0, 0);
   retired_.clear();
   born_late_.clear();
-  linkers_.clear();
-  chain_refs_.clear();
   recovery_gc_ = false;
   deferred_nodes_ = 0;
   tm_.cache_invalidations->add(cache_.clear());
-  page_cache_.clear();
-  chains_.clear();
   cursors_.clear();
   ++structure_version_;
   dram_pool_.clear();
@@ -1744,10 +1393,6 @@ NodeRef PmOctree::dramify(NodeRef ref, std::size_t* moved,
                           std::size_t node_limit) {
   if (ref.null()) return ref;
   if (*moved >= node_limit) return ref;
-  // Chains stay cold: the transformation never unpacks a chain into C0.
-  // A chain that heats up gets promoted record-by-record through the
-  // ordinary CoW path on its first mutation instead.
-  if (ref.in_linear()) return ref;
   if (ref.in_dram()) {
     charge_dram_read();
     PNode node = *ref.dram_ptr();
@@ -1919,8 +1564,7 @@ void PmOctree::enforce_dram_budget() {
       ++counts[node.code.ancestor_at(lsub)];
     for (int i = 0; i < kChildrenPerNode; ++i) {
       const NodeRef c = node.child_ref(i);
-      // Linear subtrees hold no DRAM nodes — nothing there to evict.
-      if (!c.null() && !c.in_linear()) stack.push_back(c);
+      if (!c.null()) stack.push_back(c);
     }
   }
   // Evict coldest first (the paper's least-frequently-accessed policy).
@@ -1954,23 +1598,6 @@ PmStats PmOctree::stats() {
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
-    if (ref.in_linear()) {
-      // Stream the record range [r, r + skip(r)) instead of descending
-      // node by node — the accounting walk stays charge-free.
-      const std::uint64_t chain = ref.linear_chain();
-      linear::ChainView view(device(), chain);
-      note_chain(chain, view.pages());
-      nvbm_union.insert(chain);
-      const std::uint32_t r0 = ref.linear_index();
-      const std::uint32_t end = r0 + view.skip(r0);
-      for (std::uint32_t r = r0; r < end; ++r) {
-        ++s.nodes;
-        ++s.linear_records;
-        if (view.mask(r) == 0) ++s.leaves;
-        s.depth = std::max(s.depth, view.code(r).level());
-      }
-      continue;
-    }
     const PNode node =
         ref.in_dram() ? *ref.dram_ptr()
                       : nv_load(ref.nvbm_offset());
@@ -1989,20 +1616,8 @@ PmStats PmOctree::stats() {
     }
   }
   collect_reachable_nvbm(prev_root_, nvbm_union);
-  // The union mixes node offsets and chain offsets; chains_ (kept
-  // complete by collect_reachable_nvbm's note_chain) splits them.
-  std::size_t pointer_nodes = 0;
-  for (const std::uint64_t off : nvbm_union) {
-    const auto it = chains_.find(off);
-    if (it == chains_.end()) {
-      ++pointer_nodes;
-      continue;
-    }
-    ++s.linear_chains;
-    s.nvbm_live_bytes += std::uint64_t{it->second} * linear::kPageBytes;
-  }
-  s.unique_physical_nodes = s.dram_nodes + pointer_nodes;
-  s.nvbm_live_bytes += pointer_nodes * kNodeSize;
+  s.unique_physical_nodes = s.dram_nodes + nvbm_union.size();
+  s.nvbm_live_bytes = nvbm_union.size() * kNodeSize;
   s.dram_bytes = dram_bytes();
   depth_ = std::max(depth_, s.depth);
   return s;

@@ -30,7 +30,6 @@
 #include "nvbm/heap.hpp"
 #include "octree/octree.hpp"
 #include "pmoctree/config.hpp"
-#include "pmoctree/linear_tier.hpp"
 #include "pmoctree/node.hpp"
 #include "pmoctree/node_cache.hpp"
 #include "pmoctree/snapshot.hpp"
@@ -59,10 +58,6 @@ struct PersistStats {
   std::size_t visits = 0;
   /// Clean subtrees skipped in O(1) via their durable twin.
   std::size_t pruned_subtrees = 0;
-  /// Cold pointer subtrees rewritten into linear chains this persist.
-  std::size_t compacted_subtrees = 0;
-  /// Octant records packed into those chains.
-  std::size_t compacted_records = 0;
 };
 
 /// Point-in-time structural statistics.
@@ -74,11 +69,7 @@ struct PmStats {
   std::size_t unique_physical_nodes = 0;  ///< union of V_{i-1} and V_i
   std::size_t dram_bytes = 0;
   std::size_t nvbm_live_bytes = 0;
-  /// Octants of V_i resident as packed linear-tier records (a subset of
-  /// `nodes`; nvbm_nodes_vi counts only pointer-tier PNodes).
-  std::size_t linear_records = 0;
-  /// Linear chains reachable from V_i.
-  std::size_t linear_chains = 0;
+  std::size_t linear_records = 0;  ///< always 0; read only by perfbench
   int depth = 0;
 };
 
@@ -156,14 +147,8 @@ class PmOctree {
   /// Charged SoA leaf extraction: appends every V_i leaf, in the same
   /// Morton (DFS pre-order) enumeration as for_each_leaf, into parallel
   /// key/level/vof/tracer arrays — the snapshot shape the SIMD solve
-  /// kernels consume. DRAM and node-store leaves go through the normal
-  /// read_node charging; linear-tier chains are streamed page-wise (one
-  /// charge_linear_page per newly touched packed page, records decoded
-  /// in place) instead of per-record synthesis — the modeled cost of
-  /// scanning the packed cold tier sequentially. Cold-tier records are
-  /// not heat-touched by this extraction (a whole-tier scan would
-  /// saturate the access ratio and defeat §3.3's hot/cold separation);
-  /// per-octant reads (sample, for_each_leaf) still are.
+  /// kernels consume. Every node goes through the normal read_node
+  /// charging.
   void extract_leaves_soa(std::vector<std::uint64_t>& keys,
                           std::vector<std::uint8_t>& levels,
                           std::vector<double>& vof,
@@ -284,7 +269,7 @@ class PmOctree {
   /// The paper's Eq. 1 subtree level, from current depth and DRAM budget.
   int subtree_level() const noexcept;
 
-  /// Current (possibly auto-adapted) C0 DRAM budget in bytes.
+  /// C0 DRAM budget in bytes.
   std::size_t dram_budget() const noexcept {
     return config_.dram_budget_bytes;
   }
@@ -317,10 +302,12 @@ class PmOctree {
   const NodeCache::Stats& node_cache_stats() const noexcept {
     return cache_.stats();
   }
-  /// Lifetime hit/miss counts of the linear tier's page-residency cache.
-  const linear::PageCache::Stats& page_cache_stats() const noexcept {
-    return page_cache_.stats();
-  }
+  struct PageCacheStats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+  /// Always zero; read only by perfbench.
+  PageCacheStats page_cache_stats() const noexcept { return {}; }
   /// Total path entries served from traversal cursors instead of fresh
   /// descends. Execution-layer telemetry: cursor reuse is modeled-charge
   /// transparent, so this moves with worker scheduling, never with the
@@ -456,27 +443,13 @@ class PmOctree {
     NodeRef pref;           ///< persistent-version ref (always NVBM)
     bool changed = false;   ///< pref differs from the previous version's
   };
-  /// A fresh durable node with old NVBM children no C0 copy shadows: the
-  /// compaction candidates of one parent, logged by the merge.
-  struct FringeParent {
-    std::uint64_t off;      ///< the fresh durable node
-    PNode node;             ///< its stored content
-    PNode* working;         ///< its C0 working copy, or nullptr
-    std::uint8_t slots;     ///< candidate child slots
-  };
   /// Bookkeeping of one merge walk.
   struct MergeCtx {
     PersistStats& stats;
     std::size_t changed = 0;  ///< octants new vs V_{i-1}
-    std::vector<FringeParent> fringe;  ///< compaction candidates
     /// Split NVBM nodes: freed after the walk, so the walk's allocations
     /// never reuse them.
     std::vector<std::uint64_t> splits;
-
-    /// Logs the fresh durable node `off`'s old (unchanged) NVBM children
-    /// that its working copy links too, i.e. that no C0 copy shadows.
-    void log_fringe(std::uint64_t off, const PNode& node, PNode* working,
-                    const MergeResult* res);
   };
   /// The sequential path-copying merge from `ref` (persist step 1).
   /// NVBM loads are raw device loads: the merge neither reads nor warms
@@ -505,8 +478,7 @@ class PmOctree {
   /// (nvbmify), relinks its parent and updates the C0 set.
   void relayout(const LocCode& id, bool to_dram, std::size_t* moved,
                 std::size_t node_limit);
-  /// Marks every NVBM object reachable from `root` (a chain is one object)
-  /// and registers each node's chain links.
+  /// Marks every NVBM node reachable from `root`.
   void collect_reachable_nvbm(NodeRef root,
                               std::unordered_set<std::uint64_t>& out);
   /// Charged pre-order DFS from `root` (children in slot order).
@@ -537,43 +509,12 @@ class PmOctree {
   void retire(std::uint64_t off, std::uint32_t birth) {
     retired_.push_back({off, birth, epoch_});
   }
-  /// Frees, in ascending offset order, every retired object and dead
-  /// chain no pinned epoch can reach. Returns the number freed.
+  /// Frees, in ascending offset order, every retired object no pinned
+  /// epoch can reach. Returns the number freed.
   std::size_t drain_retired();
   /// Shared tail of drain_retired() and gc(): pin-only count, telemetry.
   std::size_t reclaimed(std::size_t freed);
-  /// Syncs the chain counts with the node stored at `off`.
-  void note_links(std::uint64_t off, const PNode& node);
-  /// Drops the chain links of the node at `off`; a chain left with no
-  /// linking node is retired.
-  void unlink(std::uint64_t off);
-  /// Drops the cache state of an object about to be freed.
-  void forget(std::uint64_t off);
 
-  // linear cold tier (DESIGN.md §11) ---------------------------------------
-  /// Synthesizes a pointer-tier view of linear record `ref`: code/data
-  /// from the record, children as linear refs into the same chain (via
-  /// the skip walk), parent null, epoch = the chain's build epoch (always
-  /// older than epoch_, so the ordinary CoW branch performs promotion).
-  PNode synth_linear(NodeRef ref);
-  /// Charge model for one record access on the page at `page_off`:
-  /// page-cache hit = one DRAM-side cached line; miss = stream the whole
-  /// page from NVBM and admit it.
-  void charge_linear_page(std::uint64_t page_off);
-  /// Registers a chain for page-cache invalidation + stats (idempotent).
-  void note_chain(std::uint64_t chain, std::uint32_t npages);
-  /// The persist-time compaction stage: visits the merge's fringe log,
-  /// rewrites each maximal old pure-pointer subtree as one linear chain
-  /// and relinks both the durable parent and its working-tree
-  /// counterpart. Runs before flush_all(), so a crash before the root
-  /// swap recovers the fully pointer-tier previous version.
-  void compact_clean_subtrees(std::vector<FringeParent>& fringe,
-                              PersistStats& stats);
-  /// True when `ref`'s whole subtree is old pointer-tier NVBM (no linear
-  /// refs, no DRAM, no tombstones) and small enough for one chain; fills
-  /// `nodes` with its (offset, node) pairs in DFS pre-order.
-  bool compactable_subtree(
-      NodeRef ref, std::vector<std::pair<std::uint64_t, PNode>>& nodes);
   void note_depth(int level) noexcept {
     if (level > depth_) depth_ = level;
   }
@@ -603,9 +544,6 @@ class PmOctree {
     telemetry::Counter* cursor_lca_reuse;    ///< pmoctree.cursor.lca_reuse
     telemetry::Counter* persist_visits;      ///< pmoctree.persist.visits
     telemetry::Counter* persist_pruned;  ///< pmoctree.persist.pruned_subtrees
-    telemetry::Counter* linear_pages;        ///< pmoctree.linear.pages
-    telemetry::Counter* linear_promotions;   ///< pmoctree.linear.promotions
-    telemetry::Counter* linear_compactions;  ///< pmoctree.linear.compactions
   };
 
   // state --------------------------------------------------------------------
@@ -632,18 +570,14 @@ class PmOctree {
   /// Pin table shared with every SnapshotHandle (shared_ptr so handles
   /// survive tree moves). The ONLY tree state reader threads may touch.
   std::shared_ptr<SnapshotRegistry> registry_;
-  /// The retire list: superseded CoW originals and twins, cut-off and
-  /// compacted shared nodes, not freed yet (DESIGN.md §9).
+  /// The retire list: superseded CoW originals and twins and cut-off
+  /// shared nodes, not freed yet (DESIGN.md §9).
   std::vector<Retired> retired_;
   /// Eviction copies of clean C0 nodes keep an older PNode::epoch than
   /// the epoch that first seals them: offset -> that epoch.
   std::unordered_map<std::uint64_t, std::uint32_t> born_late_;
-  /// Chains each NVBM node links into, and per chain the number of such
-  /// nodes; at zero the chain is unreachable.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> linkers_;
-  std::unordered_map<std::uint64_t, std::uint32_t> chain_refs_;
-  /// Set by restore(): the next persist runs gc(), which also rebuilds
-  /// linkers_ for the restored image.
+  /// Set by restore(): the next persist runs gc() to reclaim crash
+  /// orphans.
   bool recovery_gc_ = false;
   std::size_t deferred_nodes_ = 0;  ///< kept alive only by pins, last drain
   std::size_t deferred_hwm_ = 0;
@@ -671,13 +605,6 @@ class PmOctree {
   /// Hot-node cache over NVBM-resident octants (empty when
   /// node_cache_bytes == 0); see node_cache.hpp for the coherence rules.
   NodeCache cache_;
-  /// Page-residency cache of the linear cold tier (charge model only;
-  /// chain bytes are immutable). Empty when page_cache_bytes == 0.
-  linear::PageCache page_cache_;
-  /// Every chain seen by this tree: payload offset -> page count. Feeds
-  /// the page-cache invalidation of freed chains and stats(); rebuilt
-  /// lazily after restore() as chains are first touched.
-  std::unordered_map<std::uint64_t, std::uint32_t> chains_;
   /// Per-exec-context traversal cursors, grown on demand. Safe without
   /// locks: a PmOctree is confined to one logical owner at a time (see
   /// the Device thread-compatibility note), so cursor slots are never
@@ -694,9 +621,6 @@ class PmOctree {
 
   DramCounters dram_;
   std::size_t eviction_merges_ = 0;
-  /// Access totals at the last auto-budget adjustment.
-  std::uint64_t auto_last_dram_ = 0;
-  std::uint64_t auto_last_nvbm_ = 0;
   mutable Rng rng_{0xfeedc0de};
 };
 

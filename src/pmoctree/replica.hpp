@@ -21,25 +21,15 @@
 
 namespace pmo::pmoctree {
 
-/// One persist's worth of changes to the persisted version. Linear-tier
-/// chains travel as whole-blob upserts: a chain is one immutable heap
-/// object (DESIGN.md §11), so it is shipped once when it appears and
-/// dropped once when it becomes unreachable — never patched.
+/// One persist's worth of changes to the persisted version.
 struct Delta {
   std::uint64_t root_offset = 0;
   std::vector<std::pair<std::uint64_t, PNode>> upserts;
   std::vector<std::uint64_t> removals;
-  std::vector<std::pair<std::uint64_t, std::vector<std::byte>>> chain_upserts;
-  std::vector<std::uint64_t> chain_removals;
 
   std::uint64_t bytes() const noexcept {
-    std::uint64_t chain_bytes = 0;
-    for (const auto& [off, blob] : chain_upserts)
-      chain_bytes += sizeof(off) + blob.size();
     return upserts.size() * (sizeof(PNode) + sizeof(std::uint64_t)) +
-           removals.size() * sizeof(std::uint64_t) +
-           chain_removals.size() * sizeof(std::uint64_t) + chain_bytes +
-           sizeof(root_offset);
+           removals.size() * sizeof(std::uint64_t) + sizeof(root_offset);
   }
 };
 
@@ -59,7 +49,6 @@ class ReplicaStore {
 
  private:
   std::unordered_map<std::uint64_t, PNode> mirror_;
-  std::unordered_map<std::uint64_t, std::vector<std::byte>> chains_;
   std::uint64_t root_offset_ = 0;
 };
 
@@ -75,7 +64,6 @@ class ReplicaManager {
 
  private:
   std::unordered_set<std::uint64_t> known_;
-  std::unordered_set<std::uint64_t> known_chains_;
 };
 
 }  // namespace pmo::pmoctree

@@ -36,7 +36,6 @@
 
 #include "common/morton.hpp"
 #include "octree/cell_data.hpp"
-#include "pmoctree/linear_tier.hpp"
 #include "pmoctree/node.hpp"
 #include "pmoctree/node_cache.hpp"
 #include "pmoctree/snapshot.hpp"
@@ -75,14 +74,13 @@ struct InterfaceFacet {
 struct ReadCharges {
   std::uint64_t node_loads = 0;    ///< NVBM PNode reads (cache misses)
   std::uint64_t cached_loads = 0;  ///< private-cache hits (DRAM latency)
-  std::uint64_t page_loads = 0;    ///< linear-tier page streams (misses)
+  std::uint64_t page_loads = 0;    ///< always 0; read only by perfbench
   std::uint64_t lines_read = 0;    ///< NVBM cache lines fetched
   std::uint64_t modeled_ns = 0;    ///< modeled read time, NVBM + cached
 
   void merge(const ReadCharges& o) noexcept {
     node_loads += o.node_loads;
     cached_loads += o.cached_loads;
-    page_loads += o.page_loads;
     lines_read += o.lines_read;
     modeled_ns += o.modeled_ns;
   }
@@ -91,10 +89,6 @@ struct ReadCharges {
 struct ReaderConfig {
   /// Private node-cache budget (0 disables caching for this reader).
   std::size_t cache_bytes = std::size_t{256} << 10;
-  /// Private linear-tier page-residency budget (same single-owner model
-  /// as the node cache: a record on a resident page is a DRAM-side hit,
-  /// a miss streams the whole page). 0 = every record pays the stream.
-  std::size_t page_cache_bytes = std::size_t{256} << 10;
 };
 
 class Reader {
@@ -142,15 +136,6 @@ class Reader {
 
  private:
   pmoctree::PNode load(std::uint64_t offset);
-  /// Dispatch on the ref's tier: pointer-tier PNode load or linear-tier
-  /// record synthesis (never called with a DRAM ref — snapshots are
-  /// fully durable).
-  pmoctree::PNode load_ref(pmoctree::NodeRef ref);
-  /// Synthesizes a PNode view of linear record `ref` (children become
-  /// linear refs into the same chain via the skip walk), charging the
-  /// private page model per distinct page touched.
-  pmoctree::PNode load_linear(pmoctree::NodeRef ref);
-  void charge_page(std::uint64_t page_off);
   pmoctree::PNode root();
   void count_query(telemetry::Counter* c);
   /// Uncounted box DFS shared by query_box / neighbors / interface.
@@ -159,13 +144,11 @@ class Reader {
 
   pmoctree::SnapshotHandle snap_;
   pmoctree::NodeCache cache_;
-  pmoctree::linear::PageCache page_cache_;
   ReadCharges charges_;
   std::uint64_t queries_ = 0;
   std::uint64_t read_ns_ = 0;       ///< device NVBM per-line read latency
   std::uint64_t dram_read_ns_ = 0;  ///< device DRAM per-line read latency
   std::size_t lines_per_node_ = 0;
-  std::size_t lines_per_page_ = 0;
   /// serve.queries.{point,box,neighbors,interface} — process-global,
   /// thread-safe relaxed adds, resolved once per Reader.
   telemetry::Counter* q_point_ = nullptr;

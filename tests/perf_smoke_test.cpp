@@ -89,97 +89,6 @@ TEST(PerfSmoke, NodeCacheCutsNvbmLineReadsByAtLeast40Percent) {
   EXPECT_EQ(cached.nvbm_writes, uncached.nvbm_writes);
 }
 
-struct CompactOutcome {
-  std::map<std::uint64_t, double> leaves;
-  std::uint64_t sweep_lines_read = 0;  ///< medium traffic of the cold sweeps
-  std::size_t nodes = 0;
-  std::size_t linear_chains = 0;
-  std::size_t linear_records = 0;
-};
-
-CompactOutcome run_droplet_compaction(bool compaction_on) {
-  nvbm::Device dev(std::size_t{128} << 20, {});
-  pmoctree::PmConfig pm;
-  // All-NVBM with a small node cache: the regime where the cold bulk is
-  // re-read from the medium every sweep — what the linear tier is for.
-  // Both arms get identical cache budgets; the off arm simply has no
-  // pages to put in the page cache.
-  pm.dram_budget_bytes = 0;
-  pm.node_cache_bytes = std::size_t{16} << 10;
-  pm.page_cache_bytes = std::size_t{256} << 10;
-  pm.linear_compaction = compaction_on;
-  // The 5%-scale droplet's clean subtrees are a level smaller than the
-  // production default threshold assumes; compact one level earlier.
-  pm.compact_min_records = 8;
-  amr::PmOctreeBackend mesh(dev, pm);
-
-  amr::DropletParams params;
-  params.min_level = 2;
-  params.max_level = 4;
-  params.dt = 0.05;
-  amr::DropletWorkload wl(params);
-  wl.initialize(mesh);
-  for (int s = 0; s < 2; ++s) wl.step(mesh, s);
-
-  // Quiesce: pinpoint updates, one per persist, spread over the mesh.
-  // Each persist freshens one root-to-leaf path, exposing the path's old
-  // clean siblings to the compactor; a few rounds flip the cold bulk of
-  // the tree into packed chains (in the on arm).
-  auto& tree = mesh.tree();
-  std::vector<LocCode> codes;
-  tree.for_each_leaf(
-      [&](const LocCode& c, const CellData&) { codes.push_back(c); });
-  for (int r = 0; r < 8; ++r) {
-    CellData d{};
-    d.vof = 0.5 + 0.01 * r;
-    tree.update(codes[(r * codes.size()) / 8], d);
-    tree.persist();
-  }
-
-  // Cold sweeps: the analytics phase fig07 charges. Only this phase is
-  // gated — the build/quiesce phases are identical in both arms.
-  const std::uint64_t before = dev.counters().lines_read;
-  CompactOutcome out;
-  for (int k = 0; k < 4; ++k) {
-    out.leaves.clear();
-    mesh.visit_leaves([&](const LocCode& c, const CellData& d) {
-      out.leaves[c.key() | (static_cast<std::uint64_t>(c.level()) << 60)] =
-          d.vof;
-    });
-  }
-  out.sweep_lines_read = dev.counters().lines_read - before;
-  const auto s = tree.stats();
-  out.nodes = s.nodes;
-  out.linear_chains = s.linear_chains;
-  out.linear_records = s.linear_records;
-  return out;
-}
-
-TEST(PerfSmoke, LinearCompactionCutsNvbmLineReadsByAtLeast40Percent) {
-  // The flat-tier gate (fig07's compaction claim at 5% scale): reading
-  // persisted-and-clean subtrees as packed pages — a ~62-line stream per
-  // 64 octants where the pointer tier pays ~3 lines per octant, with
-  // repeats served from the page cache — must cut the cold-sweep NVBM
-  // line reads to at most 60% of the pointer-tier baseline. (In practice
-  // the cut is far deeper; 60% is the acceptance bar.)
-  const CompactOutcome on = run_droplet_compaction(true);
-  const CompactOutcome off = run_droplet_compaction(false);
-
-  ASSERT_GT(off.sweep_lines_read, 0u);
-  EXPECT_LE(on.sweep_lines_read * 100, off.sweep_lines_read * 60)
-      << "compaction-on sweep lines_read " << on.sweep_lines_read
-      << " vs off " << off.sweep_lines_read << " (ratio "
-      << (100.0 * static_cast<double>(on.sweep_lines_read) /
-          static_cast<double>(off.sweep_lines_read))
-      << "%)";
-  // The gate must measure a mostly-compacted tree, not a token chain…
-  EXPECT_GT(on.linear_chains, 0u);
-  EXPECT_GE(on.linear_records * 2, on.nodes);
-  // …and the A/B toggle changes layout only, never the mesh.
-  EXPECT_EQ(off.linear_chains, 0u);
-  EXPECT_EQ(on.leaves, off.leaves);
-}
-
 // ---------------------------------------------------------------------------
 // Solve-kernel gates (the SIMD/neighbor-index PR): modeled neighbor-lookup
 // work and the SIMD determinism contract on the fig07 droplet
@@ -326,10 +235,10 @@ TEST(PerfSmoke, IncrementalPersistVisitsAtMost10PercentOfNodes) {
 }
 
 TEST(PerfSmoke, PersistOfAllC0TreeReadsNoNvbmLines) {
-  // Reclamation and compaction cost O(change): a tree held entirely in C0
-  // keeps its only NVBM objects (the durable twins) in write-only use, so
-  // a persist after mutating it must read zero NVBM lines — no heap sweep,
-  // no header loads on free, no compaction walk over the fresh fringe.
+  // Reclamation costs O(change): a tree held entirely in C0 keeps its
+  // only NVBM objects (the durable twins) in write-only use, so a persist
+  // after mutating it must read zero NVBM lines — no heap sweep, no
+  // header loads on free.
   nvbm::Device dev(std::size_t{64} << 20, {});
   nvbm::Heap heap(dev);
   pmoctree::PmConfig pm;
@@ -368,7 +277,6 @@ TEST(PerfSmoke, OneLeafUpdatePersistFreesThePathAndLoadsNoHeapHeader) {
   nvbm::Heap heap(dev);
   pmoctree::PmConfig pm;
   pm.dram_budget_bytes = 0;         // every octant is a durable node
-  pm.linear_compaction = false;     // nothing but the path changes
   auto tree = pmoctree::PmOctree::create(heap, pm);
   for (int l = 0; l < 4; ++l)
     tree.refine_where([](const LocCode&, const CellData&) { return true; });
@@ -390,14 +298,13 @@ TEST(PerfSmoke, OneLeafUpdatePersistFreesThePathAndLoadsNoHeapHeader) {
 TEST(PerfSmoke, PersistLoadsEachVisitedNvbmNodeOnce) {
   // The merge is one walk: it loads each NVBM node it visits exactly
   // once, and nothing else in this persist reads the device (no
-  // compaction, no transformation, a header-free retire-list drain). Any
+  // transformation, a header-free retire-list drain). Any
   // second pass over the dirty fringe — e.g. one sizing allocations ahead
   // of the merge — would show up as extra reads.
   nvbm::Device dev(std::size_t{64} << 20, {});
   nvbm::Heap heap(dev);
   pmoctree::PmConfig pm;
   pm.dram_budget_bytes = 0;       // every visit is an NVBM node
-  pm.linear_compaction = false;
   pm.enable_transform = false;
   auto tree = pmoctree::PmOctree::create(heap, pm);
   for (int l = 0; l < 4; ++l)

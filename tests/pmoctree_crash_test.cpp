@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "pmoctree/pm_octree.hpp"
@@ -240,9 +239,9 @@ TEST_P(CrashInjection, CrashInHighWaterWindowRestoresAndReclaims) {
       << "seed " << seed << " survive_p " << survive_p;
   mutate_randomly(back, rng, 6);
   back.persist();
-  OffSet live, chains;
-  reach(dev, back.previous_root(), live, chains);
-  reach(dev, back.current_root(), live, chains);
+  OffSet live;
+  reach(dev, back.previous_root(), live);
+  reach(dev, back.current_root(), live);
   EXPECT_EQ(allocated(heap2), live)
       << "seed " << seed << " survive_p " << survive_p;
 }
@@ -280,118 +279,91 @@ TEST(CrashInjection, MultiStepCrashRecoverCrashAgain) {
 }
 
 // ---------------------------------------------------------------------------
-// Mid-compaction crashes (DESIGN.md §11): chain pages and parent relinks
-// are ordinary pre-flush writes, so a crash between the compaction stage
-// and the root swap must recover the previous sealed version byte-exact —
-// and a crash after a compacting persist must recover the fully compacted
-// image with every chain page intact (never torn).
+// All-NVBM crashes: with no C0 budget every octant lives in NVBM, so every
+// mutation copies shared durable nodes and every persist writes only NVBM.
+// A crash before the flush must recover the previous sealed version
+// exactly, a crash after the root swap the new one, and the first persist
+// after restore() must leave allocated exactly the reachable set.
 // ---------------------------------------------------------------------------
 
-/// Walks the restored persisted version and validates every reachable
-/// chain page-by-page; returns the number of distinct chains seen.
-std::size_t validate_reachable_chains(PmOctree& tree) {
-  std::set<std::uint64_t> chains;
-  std::vector<NodeRef> stack{tree.previous_root()};
-  while (!stack.empty()) {
-    const NodeRef ref = stack.back();
-    stack.pop_back();
-    if (ref.null()) continue;
-    if (ref.in_linear()) {
-      const std::uint64_t chain = ref.linear_chain();
-      if (chains.insert(chain).second) {
-        linear::ChainView view(tree.device(), chain);
-        EXPECT_TRUE(view.validate()) << "torn chain at " << chain;
-      }
-      continue;
-    }
-    const PNode node = tree.device().load<PNode>(ref.nvbm_offset());
-    for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c);
-    }
-  }
-  return chains.size();
+/// Root refined, every child refined, then random mutations.
+PmOctree grow_all_nvbm(nvbm::Heap& heap, const PmConfig& pm, Rng& rng) {
+  auto tree = PmOctree::create(heap, pm);
+  tree.refine(LocCode::root());
+  for (int i = 0; i < kChildrenPerNode; ++i)
+    tree.refine(LocCode::root().child(i));
+  mutate_randomly(tree, rng, 20);
+  return tree;
 }
 
-class CompactionCrash : public ::testing::TestWithParam<int> {};
+/// Updates the last leaf in Morton order: one CoW path.
+void touch_last_leaf(PmOctree& tree, double vof) {
+  LocCode last = LocCode::root();
+  tree.for_each_leaf([&](const LocCode& c, const CellData&) { last = c; });
+  tree.update(last, cell(vof));
+}
 
-TEST_P(CompactionCrash, MidCompactionCrashRecoversPointerTierVersion) {
+/// Restores from the crashed device, checks the recovered leaves, then
+/// runs one persist and checks the heap against the reach oracle.
+void expect_recovers(nvbm::Device& dev, const PmConfig& pm,
+                     const LeafMap& persisted, int seed) {
+  nvbm::Heap heap(dev);
+  auto back = PmOctree::restore(heap, pm);
+  EXPECT_EQ(leaves_of(back), persisted) << "seed " << seed;
+  back.persist();
+  OffSet live;
+  reach(dev, back.previous_root(), live);
+  reach(dev, back.current_root(), live);
+  EXPECT_EQ(allocated(heap), live) << "seed " << seed;
+}
+
+class AllNvbmCrash : public ::testing::TestWithParam<int> {};
+
+TEST_P(AllNvbmCrash, CrashBeforeFlushRestoresP1) {
   const int seed = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) * 6151 + 3);
-
   nvbm::Device dev(64 << 20, crash_cfg());
   PmConfig pm;
-  pm.dram_budget_bytes = 0;  // all-NVBM: the compaction-heavy regime
-  pm.compact_min_records = 8;  // small trees here; compact eagerly
+  pm.dram_budget_bytes = 0;
   LeafMap persisted;
   {
     nvbm::Heap heap(dev);
-    auto tree = PmOctree::create(heap, pm);
-    tree.refine(LocCode::root());
-    for (int i = 0; i < kChildrenPerNode; ++i)
-      tree.refine(LocCode::root().child(i));
-    mutate_randomly(tree, rng, 20);
-    // P1 seals a fully fresh (pointer-tier) version: no old subtrees yet,
-    // so nothing compacts and the durable root references no chains.
-    const auto p1 = tree.persist();
-    EXPECT_EQ(p1.compacted_subtrees, 0u);
+    auto tree = grow_all_nvbm(heap, pm, rng);
+    tree.persist();  // P1
     persisted = leaves_of(tree);
-    // P2 would compact the now-clean bulk — but dies after the compaction
-    // stage, before flush_all() and the root swap. Chain pages and parent
-    // relinks are stranded in the write buffer.
-    LocCode dirty = LocCode::root();
-    tree.for_each_leaf([&](const LocCode& c, const CellData&) { dirty = c; });
-    tree.update(dirty, cell(0.25));
+    // P2 dies after its merge, before flush_all() and the root swap: its
+    // writes are stranded in the write buffer.
+    touch_last_leaf(tree, 0.25);
     tree.set_crash_before_flush_for_test(true);
     tree.persist();
   }
   dev.simulate_crash(rng, rng.uniform());
-
-  nvbm::Heap heap2(dev);
-  auto back = PmOctree::restore(heap2, pm);
-  EXPECT_EQ(leaves_of(back), persisted) << "seed " << seed;
-  // Recovery landed on the pre-compaction version: fully pointer-tier.
-  EXPECT_EQ(validate_reachable_chains(back), 0u);
+  expect_recovers(dev, pm, persisted, seed);
 }
 
-TEST_P(CompactionCrash, PostSwapCrashRecoversFullyCompactedVersion) {
+TEST_P(AllNvbmCrash, CrashAfterSwapRestoresP2) {
   const int seed = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) * 12289 + 11);
-
   nvbm::Device dev(64 << 20, crash_cfg());
   PmConfig pm;
   pm.dram_budget_bytes = 0;
-  pm.compact_min_records = 8;  // small trees here; compact eagerly
   LeafMap persisted;
   {
     nvbm::Heap heap(dev);
-    auto tree = PmOctree::create(heap, pm);
-    tree.refine(LocCode::root());
-    for (int i = 0; i < kChildrenPerNode; ++i)
-      tree.refine(LocCode::root().child(i));
-    mutate_randomly(tree, rng, 20);
+    auto tree = grow_all_nvbm(heap, pm, rng);
+    tree.persist();  // P1
+    // P2 completes its root swap; the crash hits afterwards, with the
+    // post-persist mutations still in flight.
+    touch_last_leaf(tree, 0.75);
     tree.persist();
-    // P2 compacts the clean bulk and completes its root swap; the crash
-    // hits afterwards, with the post-persist mutations still in flight.
-    LocCode dirty = LocCode::root();
-    tree.for_each_leaf([&](const LocCode& c, const CellData&) { dirty = c; });
-    tree.update(dirty, cell(0.75));
-    const auto p2 = tree.persist();
-    ASSERT_GT(p2.compacted_subtrees, 0u) << "test must exercise chains";
     persisted = leaves_of(tree);
     mutate_randomly(tree, rng, 10);  // lost work the crash may eat
   }
   dev.simulate_crash(rng, rng.uniform());
-
-  nvbm::Heap heap2(dev);
-  auto back = PmOctree::restore(heap2, pm);
-  EXPECT_EQ(leaves_of(back), persisted) << "seed " << seed;
-  // Recovery landed on the compacted version: chains reachable and every
-  // page intact — a torn page would fail validate() (or the magic check).
-  EXPECT_GT(validate_reachable_chains(back), 0u);
+  expect_recovers(dev, pm, persisted, seed);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CompactionCrash, ::testing::Range(0, 8));
+INSTANTIATE_TEST_SUITE_P(Seeds, AllNvbmCrash, ::testing::Range(0, 8));
 
 TEST(CrashInjection, NothingPersistedMeansNothingRestorable) {
   Rng rng(9);

@@ -128,6 +128,32 @@ TEST(PmOctree, RemoveDetachesSubtree) {
   EXPECT_THROW(tree.remove(LocCode::root()), ContractError);
 }
 
+TEST(PmOctree, InsertAfterRemoveKeepsLiveSiblings) {
+  // remove() leaves the root internal with one empty slot; re-inserting
+  // that child must fill only the slot, not re-split the root over its
+  // seven live siblings.
+  Fixture fx;
+  auto tree = PmOctree::create(fx.heap, fx.config);
+  const LocCode c0 = LocCode::root().child(0);
+  const LocCode c1 = LocCode::root().child(1);
+  tree.refine(LocCode::root());
+  tree.refine(c1);
+  ASSERT_EQ(tree.node_count(), 17u);
+  tree.remove(c0);
+  ASSERT_EQ(tree.node_count(), 16u);
+  tree.insert(c0, cell(0.5));
+
+  EXPECT_EQ(tree.node_count(), 17u);
+  std::set<LocCode> under_c1;
+  tree.for_each_leaf([&](const LocCode& c, const CellData&) {
+    if (c.level() > 1 && c.ancestor_at(1) == c1) under_c1.insert(c);
+  });
+  EXPECT_EQ(under_c1.size(), 8u);
+  for (int i = 0; i < kChildrenPerNode; ++i)
+    EXPECT_EQ(under_c1.count(c1.child(i)), 1u) << "child " << i;
+  EXPECT_EQ(tree.persist().nodes_total, tree.node_count());
+}
+
 TEST(PmOctree, SampleReturnsContainingLeafData) {
   Fixture fx;
   auto tree = PmOctree::create(fx.heap, fx.config);
@@ -268,12 +294,11 @@ TEST(PmOctree, ChildMaskMatchesSlotScanUnderRandomOps) {
   // Differential check of the PNode::flags child-presence bitmask: after a
   // random op mix under memory pressure (DRAM twins, CoW'd NVBM nodes and
   // persist merges all exercised), every reachable node's cached mask must
-  // equal a scan of its child slots. The mask feeds is_leaf(), traversal
-  // and the linear-tier Builder, so a single stale bit here corrupts
-  // downstream structures silently.
+  // equal a scan of its child slots. The mask feeds is_leaf() and
+  // traversal, so a single stale bit here corrupts downstream structures
+  // silently.
   Fixture fx;
   fx.config.dram_budget_bytes = 24 * sizeof(PNode);
-  fx.config.compact_min_records = 8;
   auto tree = PmOctree::create(fx.heap, fx.config);
   Rng rng(20260808);
   for (int s = 0; s < 120; ++s) {
@@ -305,8 +330,7 @@ TEST(PmOctree, ChildMaskMatchesSlotScanUnderRandomOps) {
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
-    if (ref.null() || ref.in_linear()) continue;  // chains carry their own
-                                                  // masks, checked at build
+    if (ref.null()) continue;
     const PNode node = ref.in_dram()
                            ? *ref.dram_ptr()
                            : fx.device.load<PNode>(ref.nvbm_offset());

@@ -17,22 +17,14 @@ namespace pmo::pmoctree {
 
 using OffSet = std::set<std::uint64_t>;
 
-/// Heap objects reachable from `root`: pointer-tier nodes by offset, a
-/// linear chain as its one heap object (also recorded in `chains`). Reads
-/// raw device bytes, so the walk charges nothing and leaves every cache
-/// untouched.
-inline void reach(nvbm::Device& dev, NodeRef root, OffSet& out,
-                  OffSet& chains) {
+/// NVBM nodes reachable from `root`, by offset. Reads raw device bytes,
+/// so the walk charges nothing and leaves every cache untouched.
+inline void reach(nvbm::Device& dev, NodeRef root, OffSet& out) {
   std::vector<NodeRef> stack{root};
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
     if (ref.null()) continue;
-    if (ref.in_linear()) {
-      out.insert(ref.linear_chain());
-      chains.insert(ref.linear_chain());
-      continue;
-    }
     PNode node;
     if (ref.in_dram()) {
       node = *ref.dram_ptr();

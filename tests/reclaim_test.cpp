@@ -8,9 +8,9 @@
 // nothing leaked, nothing freed early — and deferred_reclaim_nodes() must
 // equal the objects reachable only from pins. The driver mixes inserts,
 // updates, removals, refinement and coarsening on a small C0 budget (so
-// CoW, twins, evictions and layout transformation all run), with linear
-// compaction on, snapshot pins taken and released at random epochs, and
-// crash -> restore cycles.
+// CoW, twins, evictions and layout transformation all run), with
+// snapshot pins taken and released at random epochs, and crash -> restore
+// cycles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,11 +37,11 @@ void check_reclamation(PmOctree& tree, nvbm::Heap& heap,
                        const std::vector<SnapshotHandle>& pins,
                        const std::string& where) {
   nvbm::Device& dev = heap.device();
-  OffSet live, pinned, chains;
-  reach(dev, tree.previous_root(), live, chains);
-  reach(dev, tree.current_root(), live, chains);
+  OffSet live, pinned;
+  reach(dev, tree.previous_root(), live);
+  reach(dev, tree.current_root(), live);
   for (const auto& p : pins)
-    reach(dev, NodeRef::nvbm(p.root_offset()), pinned, chains);
+    reach(dev, NodeRef::nvbm(p.root_offset()), pinned);
   const OffSet pin_only = minus(pinned, live);
   OffSet expect = live;
   expect.insert(pin_only.begin(), pin_only.end());
@@ -53,9 +53,7 @@ void check_reclamation(PmOctree& tree, nvbm::Heap& heap,
       << where << ": " << leaked.size() << " allocated objects unreachable";
   EXPECT_TRUE(early.empty())
       << where << ": " << early.size() << " reachable objects freed";
-  // deferred_reclaim_nodes() counts pointer-tier nodes, not chains.
-  EXPECT_EQ(tree.deferred_reclaim_nodes(), minus(pin_only, chains).size())
-      << where;
+  EXPECT_EQ(tree.deferred_reclaim_nodes(), pin_only.size()) << where;
 }
 
 /// One random mutation of the working version.
@@ -101,7 +99,6 @@ void mutate(PmOctree& tree, Rng& rng) {
 PmConfig oracle_config() {
   PmConfig pm;
   pm.dram_budget_bytes = 40 * sizeof(PNode);  // evictions + transforms
-  pm.compact_min_records = 4;                 // chains in a small tree
   return pm;
 }
 
@@ -125,14 +122,12 @@ TEST_P(ReclaimOracle, AllocatedSetEqualsReachableAfterEveryPersist) {
       "pmoctree.transform.evicted_to_nvbm");
   const std::uint64_t evicted_before = evicted.value();
   std::vector<SnapshotHandle> pins;
-  std::size_t compactions = 0;
   std::size_t freed = 0;
   std::size_t deferred_hwm = 0;
   for (int round = 0; round < 40; ++round) {
     const int steps = 1 + static_cast<int>(rng.below(6));
     for (int s = 0; s < steps; ++s) mutate(*tree, rng);
     const PersistStats ps = tree->persist();
-    compactions += ps.compacted_subtrees;
     freed += ps.gc_freed;
     const std::string where =
         "seed " + std::to_string(seed) + " round " + std::to_string(round);
@@ -157,8 +152,8 @@ TEST_P(ReclaimOracle, AllocatedSetEqualsReachableAfterEveryPersist) {
       tree = std::make_unique<PmOctree>(PmOctree::restore(*heap, pm));
       tree->register_feature(feature);
       // restore() is O(1): it sweeps nothing, so the orphans survive it.
-      OffSet reachable, chains;
-      reach(dev, tree->previous_root(), reachable, chains);
+      OffSet reachable;
+      reach(dev, tree->previous_root(), reachable);
       const OffSet after_restore = allocated(*heap);
       EXPECT_TRUE(std::includes(after_restore.begin(), after_restore.end(),
                                 reachable.begin(), reachable.end()));
@@ -173,7 +168,6 @@ TEST_P(ReclaimOracle, AllocatedSetEqualsReachableAfterEveryPersist) {
   check_reclamation(*tree, *heap, pins, "final");
   EXPECT_EQ(tree->deferred_reclaim_nodes(), 0u);
   // The run must have exercised what it claims to.
-  EXPECT_GT(compactions, 0u) << "no linear chain was built";
   EXPECT_GT(freed, 0u);
   EXPECT_GT(deferred_hwm, 0u) << "no pin ever blocked a reclamation";
   EXPECT_GT(evicted.value(), evicted_before) << "no C0 node was evicted";

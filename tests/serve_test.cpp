@@ -281,8 +281,7 @@ TEST(ServeSnapshot, PinKeepsNodesAcrossGcAndReclaimsAfterRelease) {
   EXPECT_EQ(tree.deferred_reclaim_nodes(), 0u);
 }
 
-/// Raw device bytes of every pointer-tier node of the version rooted at
-/// `root` (chains are immutable and skipped).
+/// Raw device bytes of every node of the version rooted at `root`.
 std::map<std::uint64_t, std::vector<std::byte>> version_image(
     nvbm::Device& dev, std::uint64_t root) {
   std::map<std::uint64_t, std::vector<std::byte>> image;
